@@ -20,6 +20,7 @@ from linewidth.decompositions import (
     SUBJECT_GRAPH,
     SUBJECT_LINE,
     TreeDecomposition,
+    edge_path_bags,
     expand_to_line,
     limit_tree_degree,
     validate,
@@ -37,7 +38,7 @@ from linewidth.graphs import (
     line_graph,
     minimal_dense_vertex_set,
 )
-from linewidth.treeops import sorted_edges, tree_path
+from linewidth.treeops import root_tree, sorted_edges, tree_path
 
 TARGET_TW = "tw(L)"
 TARGET_PW = "pw(L)"
@@ -187,15 +188,7 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
         chosen.setdefault(best_edge, []).append(v)
     # subdivide the chosen edges; several vertices on one edge are placed in
     # vertex-id order starting at the child side
-    root = min(td.nodes)
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for nb in adj[n]:
-            if nb not in parent:
-                parent[nb] = n
-                stack.append(nb)
+    parent, _ = root_tree(adj, min(td.nodes))
     next_id = max(td.nodes) + 1
     for a, b in sorted(chosen):
         vs = sorted(chosen[(a, b)])
@@ -208,24 +201,22 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
             next_id += 1
             adj[node] = {prev}
             adj[prev].add(node)
+            parent[prev] = node
             base[v] = node
             prev = node
         adj[prev].add(par)
         adj[par].add(prev)
-    ids = edge_id_map(g)
-    bags: dict[int, set[int]] = {n: set() for n in adj}
-    for u, v in g.edges:
-        eid = ids[(u, v)]
-        for node in tree_path(adj, base[u], base[v]):
-            bags[node].add(eid)
+        parent[prev] = par
+    bags = edge_path_bags(parent, base, g)
     closed = (
         balanced_split_bound_path(k1, delta)
         if is_path
         else balanced_split_bound_tree(k1, delta)
     )
     if is_path:
-        ends = sorted(n for n in adj if len(adj[n]) <= 1)
-        order = tree_path(adj, ends[0], ends[-1])
+        # subdivisions only add inner nodes, so the path still runs from
+        # node 1 to the last node of d
+        order = tree_path(parent, td.nodes[0], td.nodes[-1])
         dec = PathDecomposition([bags[n] for n in order], SUBJECT_LINE)
     else:
         dec = TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
@@ -302,7 +293,7 @@ class BoundsReport:
     def to_text(self) -> str:
         lines = []
         for e in self.entries:
-            lines.append(f"bound {e.name} {e.kind} {e.target} {_fmt(e.value)}")
+            lines.append(f"bound {e.name} {e.kind} {e.target} {format_value(e.value)}")
         for target in sorted(self.exact):
             lines.append(f"exact {target} {self.exact[target]}")
         for note in self.notes:
@@ -310,7 +301,8 @@ class BoundsReport:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """A bound value as text: integral fractions without their denominator."""
     if isinstance(value, Fraction) and value.denominator == 1:
         return str(value.numerator)
     return str(value)
@@ -344,7 +336,7 @@ def bounds_report(
         BoundEntry("balanced-split-pw", "upper", TARGET_PW, balanced_split_bound_path(pw_g, delta))
     )
     notes = [
-        f"conjectured-half-expansion {TARGET_TW} {_fmt(Fraction(tw_g + 1, 2) * delta - 1)}"
+        f"conjectured-half-expansion {TARGET_TW} {format_value(Fraction(tw_g + 1, 2) * delta - 1)}"
     ]
     if delta >= 2:
         cw = cutwidth_solver(g, max_vertices=solver_limit).value

@@ -13,7 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from linewidth import __version__
-from linewidth.bounds import bounds_report, improved_upper_construction, tree_line_decomposition
+from linewidth.bounds import (
+    bounds_report,
+    format_value,
+    improved_upper_construction,
+    tree_line_decomposition,
+)
 from linewidth.congestion import (
     cutwidth,
     min_path_congestion,
@@ -42,10 +47,7 @@ from linewidth.suite import run_theorem_checks
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:
@@ -62,14 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact values and bounds for the treewidth/pathwidth of line graphs",
     )
     parser.add_argument("--version", action="version", version=f"linewidth {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cap on internal parallelism (current solvers are single-threaded; "
-        "results never depend on this value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="exact widths and congestions with witness files")
@@ -141,12 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_verify_theorems)
 
     return parser
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
 
 
 def _witness_path(args, suffix: str) -> Path:
@@ -221,7 +209,7 @@ def _cmd_construct(args) -> int:
     out = args.output or args.input.with_suffix(".improved.td")
     write_td(out, built.decomposition, g)
     print(f"width {built.width}")
-    print(f"closed-form {_fmt(built.closed_form)}")
+    print(f"closed-form {format_value(built.closed_form)}")
     if built.fallback:
         print("fallback incident-expansion (max degree below input width)")
     print(f"wrote {out}")
@@ -332,14 +320,17 @@ def _cmd_verify_appendix(args) -> int:
         res = min_degree_split(s, args.parity, args.resolution or 32)
     else:
         res = max_grid_partition(args.resolution or 8, args.mode)
-    print(f"{res.kind} {_fmt(res.extremum)}")
-    print(f"closed-form {_fmt(res.closed_form)}")
-    print(f"gap {_fmt(res.gap)}")
-    print(f"argpoint {' '.join(_fmt(x) for x in res.argpoint)}")
+    print(f"{res.kind} {format_value(res.extremum)}")
+    print(f"closed-form {format_value(res.closed_form)}")
+    print(f"gap {format_value(res.gap)}")
+    print(f"argpoint {' '.join(format_value(x) for x in res.argpoint)}")
     for c in res.corners:
-        pt = ",".join(_fmt(x) for x in c.point)
+        pt = ",".join(format_value(x) for x in c.point)
         feas = "feasible" if c.feasible else "outside-region"
-        print(f"corner ({pt}) value {_fmt(c.value)} claim {_fmt(c.claimed)} gap {_fmt(c.gap)} {feas}")
+        print(
+            f"corner ({pt}) value {format_value(c.value)} claim {format_value(c.claimed)} "
+            f"gap {format_value(c.gap)} {feas}"
+        )
     return 0
 
 

@@ -26,7 +26,7 @@ from linewidth.graphs import (
     SolverLimitError,
     _adjacency_masks,
 )
-from linewidth.treeops import adjacency, check_tree, sorted_edges, tree_path
+from linewidth.treeops import adjacency, check_tree, root_tree, tree_path
 
 TREE_CONGESTION_LIMIT = 10
 PATH_SOLVER_LIMIT = 20
@@ -139,33 +139,27 @@ def vertex_congestion(e: LeafEmbedding, g: Graph) -> tuple[int, dict[int, int]]:
     """Maximum number of routed edge paths through a tree node, with the
     full per-node profile.  Path endpoints count."""
     e.check(g)
-    adj = e.adjacency()
+    parent = root_tree(e.adjacency(), e.nodes[0])[0] if e.nodes else {}
     profile = {n: 0 for n in e.nodes}
     for u, v in g.edges:
-        for node in tree_path(adj, e.assignment[u], e.assignment[v]):
+        for node in tree_path(parent, e.assignment[u], e.assignment[v]):
             profile[node] += 1
     return (max(profile.values(), default=0), profile)
 
 
 def ordering_vertex_congestion(o: LinearOrdering, g: Graph) -> tuple[int, dict[int, int]]:
     """Per-position count of edges vw with pos(v) <= i <= pos(w)."""
-    o.check(g)
-    pos = o.positions()
-    m = len(o.order)
-    diff = [0] * (m + 2)
-    for u, v in g.edges:
-        lo, hi = sorted((pos[u], pos[v]))
-        diff[lo] += 1
-        diff[hi + 1] -= 1
-    profile, run = {}, 0
-    for i in range(1, m + 1):
-        run += diff[i]
-        profile[i] = run
-    return (max(profile.values(), default=0), profile)
+    return _ordering_profile(o, g, 1)
 
 
 def ordering_cutwidth(o: LinearOrdering, g: Graph) -> tuple[int, dict[int, int]]:
     """Per-cut count of edges crossing the prefix of length i."""
+    return _ordering_profile(o, g, 0)
+
+
+def _ordering_profile(o: LinearOrdering, g: Graph, reach: int) -> tuple[int, dict[int, int]]:
+    """Maximum and per-position count of the edges between positions lo < hi
+    that cover position i, for lo <= i < hi + reach."""
     o.check(g)
     pos = o.positions()
     m = len(o.order)
@@ -173,7 +167,7 @@ def ordering_cutwidth(o: LinearOrdering, g: Graph) -> tuple[int, dict[int, int]]
     for u, v in g.edges:
         lo, hi = sorted((pos[u], pos[v]))
         diff[lo] += 1
-        diff[hi] -= 1
+        diff[hi + reach] -= 1
     profile, run = {}, 0
     for i in range(1, m + 1):
         run += diff[i]
@@ -200,25 +194,11 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
         cert = CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
         return cert
     table = kernels.path_congestion_table(masks)
-    full = (1 << m) - 1
-    value = int(table[full])
-    order_rev = []
-    s = full
-    while s:
-        cross = kernels.cross_size(masks, s)
-        target = int(table[s])
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            at_u = cross + (masks[u] & s).bit_count()
-            if max(int(table[s ^ low]), at_u) == target:
-                order_rev.append(u)
-                s ^= low
-                break
-    ordering = LinearOrdering(active[u] for u in reversed(order_rev))
-    return CongestionCertificate(value, "path-vertex", ordering=ordering)
+    order = kernels.backtrack(
+        table, m, lambda s, u: kernels.cross_size(masks, s) + (masks[u] & s).bit_count()
+    )
+    ordering = LinearOrdering(active[u] for u in order)
+    return CongestionCertificate(int(table[-1]), "path-vertex", ordering=ordering)
 
 
 def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
@@ -230,23 +210,9 @@ def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCerti
     if m == 0:
         return CongestionCertificate(0, "path-edge", ordering=LinearOrdering(()))
     table = kernels.cutwidth_table(masks)
-    full = (1 << m) - 1
-    value = int(table[full])
-    order_rev = []
-    s = full
-    while s:
-        cross = kernels.cross_size(masks, s)
-        target = int(table[s])
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if max(int(table[s ^ low]), cross) == target:
-                order_rev.append(low.bit_length() - 1)
-                s ^= low
-                break
-    ordering = LinearOrdering(active[u] for u in reversed(order_rev))
-    return CongestionCertificate(value, "path-edge", ordering=ordering)
+    order = kernels.backtrack(table, m, lambda s, u: kernels.cross_size(masks, s))
+    ordering = LinearOrdering(active[u] for u in order)
+    return CongestionCertificate(int(table[-1]), "path-edge", ordering=ordering)
 
 
 def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
@@ -272,13 +238,14 @@ class _TreeSearch:
     existing tree edge and hangs the new leaf off the subdivision node.
     Every such tree arises exactly once this way.  Node and edge loads are
     maintained incrementally; they never decrease as the embedding grows, so
-    a partial maximum at or above the incumbent can be pruned.
+    a partial maximum at or above the incumbent can be pruned.  The tree is
+    held as a parent map rooted at node 1, which tree_path routes over.
     """
 
     def __init__(self, g: Graph, verts):
         self.g = g
         self.verts = verts
-        self.adj: dict[int, set[int]] = {}
+        self.parent: dict[int, int | None] = {}
         self.node_load: dict[int, int] = {}
         self.edge_load: dict[tuple[int, int], int] = {}
         self.host: dict[int, int] = {}
@@ -292,7 +259,7 @@ class _TreeSearch:
         self.best = incumbent
         self.floor = floor
         v1, v2 = self.verts[0], self.verts[1]
-        self.adj = {1: {2}, 2: {1}}
+        self.parent = {1: None, 2: 1}
         self.host = {v1: 1, v2: 2}
         first = 1 if self.g.has_edge(v1, v2) else 0
         self.node_load = {1: first, 2: first}
@@ -304,14 +271,14 @@ class _TreeSearch:
         return self.best, self.best_snapshot
 
     def _snapshot(self) -> LeafEmbedding:
-        remap = {n: i for i, n in enumerate(sorted(self.adj), start=1)}
-        edges = [(remap[a], remap[b]) for a, b in sorted_edges(self.adj)]
+        remap = {n: i for i, n in enumerate(sorted(self.parent), start=1)}
+        edges = [(remap[n], remap[p]) for n, p in self.parent.items() if p is not None]
         assignment = {v: remap[n] for v, n in self.host.items()}
         return LeafEmbedding(remap.values(), edges, assignment)
 
     def _route(self, x: int, y: int, step: int) -> int:
         worst = 0
-        path = tree_path(self.adj, x, y)
+        path = tree_path(self.parent, x, y)
         for node in path:
             load = self.node_load[node] + step
             self.node_load[node] = load
@@ -338,12 +305,10 @@ class _TreeSearch:
             mid, leaf = self.next_id, self.next_id + 1
             self.next_id += 2
             carried = self.edge_load.pop((a, b))
-            self.adj[a].discard(b)
-            self.adj[b].discard(a)
-            self.adj[a].add(mid)
-            self.adj[b].add(mid)
-            self.adj[mid] = {a, b, leaf}
-            self.adj[leaf] = {mid}
+            child, par = (a, b) if self.parent[a] == b else (b, a)
+            self.parent[child] = mid
+            self.parent[mid] = par
+            self.parent[leaf] = mid
             self.edge_load[(min(a, mid), max(a, mid))] = carried
             self.edge_load[(min(b, mid), max(b, mid))] = carried
             self.edge_load[(mid, leaf)] = 0
@@ -364,19 +329,14 @@ class _TreeSearch:
             del self.edge_load[(min(a, mid), max(a, mid))]
             del self.edge_load[(min(b, mid), max(b, mid))]
             del self.edge_load[(mid, leaf)]
-            del self.adj[mid], self.adj[leaf]
-            self.adj[a].discard(mid)
-            self.adj[b].discard(mid)
-            self.adj[a].add(b)
-            self.adj[b].add(a)
+            self.parent[child] = par
+            del self.parent[mid], self.parent[leaf]
             self.edge_load[(a, b)] = carried
             self.next_id -= 2
 
 
 def min_tree_congestion(
-    g: Graph,
-    max_vertices: int = TREE_CONGESTION_LIMIT,
-    path_solver_limit: int = PATH_SOLVER_LIMIT,
+    g: Graph, max_vertices: int = TREE_CONGESTION_LIMIT
 ) -> CongestionCertificate:
     """Exact minimum vertex congestion over all leaf embeddings into
     sub-cubic trees.  Trees with all internal degrees equal to 3 suffice:
@@ -392,7 +352,7 @@ def min_tree_congestion(
     if m == 2:
         emb = LeafEmbedding((1, 2), [(1, 2)], {active[0]: 1, active[1]: 2})
         return CongestionCertificate(1, "tree-vertex", embedding=emb)
-    path_cert = min_path_congestion(g, max_vertices=path_solver_limit)
+    path_cert = min_path_congestion(g)
     best_value = path_cert.value
     best_emb = caterpillar_embedding(path_cert.ordering, g)
     delta = max(g.degree(v) for v in active)

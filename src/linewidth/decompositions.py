@@ -27,7 +27,7 @@ from linewidth.graphs import (
     edge_id_map,
     line_graph,
 )
-from linewidth.treeops import adjacency, check_tree, sorted_edges, tree_path
+from linewidth.treeops import adjacency, check_tree, root_tree, sorted_edges, tree_path
 
 SUBJECT_GRAPH = "of-G"
 SUBJECT_LINE = "of-L(G)"
@@ -214,14 +214,45 @@ class LeafBaseForm:
     base: BaseNodeAssignment
 
 
-def _rebuild_bags(adj, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
+def edge_path_bags(parent, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
+    """Bag of every node of the tree given by a parent map: the ids of the
+    edges uv of g whose path from base[u] to base[v] crosses the node."""
     ids = edge_id_map(g)
-    bags: dict[int, set[int]] = {n: set() for n in adj}
+    bags: dict[int, set[int]] = {n: set() for n in parent}
     for u, v in g.edges:
         eid = ids[(u, v)]
-        for node in tree_path(adj, base[u], base[v]):
+        for node in tree_path(parent, base[u], base[v]):
             bags[node].add(eid)
     return bags
+
+
+def _halve_wide_nodes(parent, children, root: int, next_id: int) -> dict[int, int]:
+    """Give every node at most two children: a node with more gets two fresh
+    children (ids from next_id up) that take over the first and second half
+    of its children in their listed order, and the fresh nodes are split in
+    turn.  parent and children are updated in place; the result maps each
+    fresh node to the node it was split from, in creation order."""
+    split_from: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        kids = children[x]
+        if len(kids) > 2:
+            half = (len(kids) + 1) // 2
+            y1, y2 = next_id, next_id + 1
+            next_id += 2
+            children[y1] = kids[:half]
+            children[y2] = kids[half:]
+            children[x] = [y1, y2]
+            for y in (y1, y2):
+                split_from[y] = x
+                parent[y] = x
+                for w in children[y]:
+                    parent[w] = y
+            stack += [y1, y2]
+        else:
+            stack += kids
+    return split_from
 
 
 def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
@@ -289,76 +320,31 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
                 pruned = True
 
     if len(base) == 2:
-        # two leaves: contract everything between them to a single edge
-        changed = True
-        while changed:
-            changed = False
-            for node in sorted(adj):
-                if node not in base_nodes and len(adj[node]) == 2:
-                    a, b = sorted(adj[node])
-                    adj[a].discard(node)
-                    adj[b].discard(node)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    del adj[node]
-                    changed = True
-                    break
+        # two leaves: everything between them contracts to a single edge
+        x, y = sorted(base_nodes)
+        parent, children = root_tree({x: {y}, y: {x}}, x)
     else:
         root = min(n for n in adj if len(adj[n]) >= 2)
-        children: dict[int, list[int]] = {}
-        parent: dict[int, int | None] = {root: None}
-        order = [root]
-        for n in order:
-            kids = sorted(w for w in adj[n] if w != parent[n])
-            children[n] = kids
-            for w in kids:
-                parent[w] = n
-                order.append(w)
-        # split nodes with more than two children, halving in id order
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            kids = children[x]
-            if len(kids) > 2:
-                half = (len(kids) + 1) // 2
-                y1, y2 = next_id, next_id + 1
-                next_id += 2
-                children[y1] = kids[:half]
-                children[y2] = kids[half:]
-                children[x] = [y1, y2]
-                parent[y1] = parent[y2] = x
-                for w in children[y1]:
-                    parent[w] = y1
-                for w in children[y2]:
-                    parent[w] = y2
-                stack += [y1, y2]
-            else:
-                stack += kids
-        # contract single-child nodes (base nodes are leaves, never touched)
-        changed = True
-        while changed:
-            changed = False
-            for x in sorted(children):
-                if len(children[x]) == 1:
-                    (child,) = children[x]
-                    if parent[x] is None:
-                        parent[child] = None
-                        root = child
-                    else:
-                        p = parent[x]
-                        children[p] = [child if w == x else w for w in children[p]]
-                        parent[child] = p
-                    del children[x]
-                    del parent[x]
-                    changed = True
-                    break
-        adj = {n: set() for n in children}
-        for x, kids in children.items():
-            for w in kids:
-                adj[x].add(w)
-                adj[w].add(x)
+        parent, children = root_tree(adj, root)
+        _halve_wide_nodes(parent, children, root, next_id)
+        # contract single-child nodes (base nodes are leaves, never touched);
+        # a contraction leaves every other node's child count unchanged
+        for x in sorted(children):
+            if len(children[x]) == 1:
+                (child,) = children.pop(x)
+                p = parent.pop(x)
+                if p is not None:
+                    children[p] = [child if w == x else w for w in children[p]]
+                parent[child] = p
+    # the .td edge order follows these sets' iteration order, so they are
+    # filled in children order
+    adj = {n: set() for n in children}
+    for x, kids in children.items():
+        for w in kids:
+            adj[x].add(w)
+            adj[w].add(x)
 
-    bags = _rebuild_bags(adj, base, g)
+    bags = edge_path_bags(parent, base, g)
     dec = TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
     return LeafBaseForm(dec, BaseNodeAssignment(dict(sorted(base.items()))))
 
@@ -385,7 +371,7 @@ def is_leaf_base_form(td: TreeDecomposition, base: BaseNodeAssignment, g: Graph)
         return False
     if set(base.by_vertex) != set(g.non_isolated_vertices()):
         return False
-    expected = _rebuild_bags(adj, base.by_vertex, g)
+    expected = edge_path_bags(root_tree(adj, min(adj))[0], base.by_vertex, g)
     return all(td.bags[n] == frozenset(expected[n]) for n in td.nodes)
 
 
@@ -397,7 +383,8 @@ def decomposition_from_embedding(
     congestion of the embedding minus one."""
     e.check(g)
     adj = e.adjacency()
-    bags = _rebuild_bags(adj, e.assignment, g)
+    parent = root_tree(adj, e.nodes[0])[0] if e.nodes else {}
+    bags = edge_path_bags(parent, e.assignment, g)
     dec = TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
     return dec, BaseNodeAssignment(dict(sorted(e.assignment.items())))
 
@@ -418,10 +405,12 @@ def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:
     form = normalize_line_decomposition(d, g)
     td, base = form.decomposition, form.base
     adj = td.adjacency()
+    root = min(adj)
+    parent, _ = root_tree(adj, root)
     bags: dict[int, set[int]] = {n: set() for n in adj}
     corr: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for v, w in g.edges:  # v rides the path, w sits at b(w)
-        path = tree_path(adj, base.node_of(v), base.node_of(w))
+        path = tree_path(parent, base.node_of(v), base.node_of(w))
         for node in path[:-1]:
             bags[node].add(v)
         bags[path[-1]].add(w)
@@ -441,16 +430,9 @@ def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:
         adj[x].add(z)
         adj[y].add(z)
         adj[z] = {x, y}
+        child, par = (x, y) if parent[x] == y else (y, x)
+        parent[child], parent[z] = z, par
         bags[z] = (bags[x] - {v1}) | {w}
-    root = min(adj)
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for nb in adj[n]:
-            if nb not in parent:
-                parent[nb] = n
-                stack.append(nb)
     for v, w in g.edges:
         if any(v in bags[n] and w in bags[n] for n in adj):
             continue
@@ -483,35 +465,11 @@ def limit_tree_degree(d: TreeDecomposition) -> TreeDecomposition:
     duplicating the split node's bag; width is unchanged."""
     if len(d.nodes) == 1:
         return d
-    adj = d.adjacency()
-    bags = {n: set(d.bags[n]) for n in d.nodes}
     root = min(d.nodes)
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {}
-    order = [root]
-    for n in order:
-        kids = sorted(w for w in adj[n] if w != parent[n])
-        children[n] = kids
-        for w in kids:
-            parent[w] = n
-            order.append(w)
-    next_id = max(d.nodes) + 1
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        kids = children[x]
-        if len(kids) > 2:
-            half = (len(kids) + 1) // 2
-            y1, y2 = next_id, next_id + 1
-            next_id += 2
-            bags[y1] = set(bags[x])
-            bags[y2] = set(bags[x])
-            children[y1] = kids[:half]
-            children[y2] = kids[half:]
-            children[x] = [y1, y2]
-            stack += [y1, y2]
-        else:
-            stack += kids
+    parent, children = root_tree(d.adjacency(), root)
+    bags = {n: set(d.bags[n]) for n in d.nodes}
+    for y, x in _halve_wide_nodes(parent, children, root, max(d.nodes) + 1).items():
+        bags[y] = set(bags[x])
     edges = [(x, w) for x, kids in children.items() for w in kids]
     return TreeDecomposition(children.keys(), edges, bags, d.subject)
 

@@ -68,25 +68,12 @@ def _prepare(g: Graph, max_vertices: int, what: str):
 
 def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResult:
     masks = _prepare(g, max_vertices, "treewidth")
-    n = g.n
     table = kernels.treewidth_table(masks)
-    full = (1 << n) - 1
-    tw = int(table[full])
-    order_rev = []
-    s = full
-    while s:
-        target = int(table[s])
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            q = kernels.elimination_reach_count(masks, s ^ low, v)
-            if max(int(table[s ^ low]), q) == target:
-                order_rev.append(v + 1)
-                s ^= low
-                break
-    ordering = tuple(reversed(order_rev))
+    tw = int(table[-1])
+    order = kernels.backtrack(
+        table, g.n, lambda s, v: kernels.elimination_reach_count(masks, s ^ (1 << v), v)
+    )
+    ordering = tuple(v + 1 for v in order)
     cert = EliminationCertificate(ordering, tw)
     if cert.simulate(g) != tw:  # internal consistency; never expected
         raise DomainError("elimination replay disagrees with the DP table")
@@ -138,24 +125,9 @@ def _decomposition_from_elimination(g: Graph, ordering) -> TreeDecomposition:
 
 def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResult:
     masks = _prepare(g, max_vertices, "pathwidth")
-    n = g.n
     table = kernels.vertex_separation_table(masks)
-    full = (1 << n) - 1
-    pw = int(table[full])
-    order_rev = []
-    s = full
-    while s:
-        target = int(table[s])
-        border = kernels.border_size(masks, s)
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if max(int(table[s ^ low]), border) == target:
-                order_rev.append(low.bit_length() - 1)
-                s ^= low
-                break
-    order_bits = list(reversed(order_rev))
+    pw = int(table[-1])
+    order_bits = kernels.backtrack(table, g.n, lambda s, v: kernels.border_size(masks, s))
     ordering = tuple(b + 1 for b in order_bits)
     # bag i = v_i plus the prefix vertices that still have later neighbours
     bags: list[frozenset[int]] = []

@@ -1,4 +1,13 @@
-"""Small helpers for trees given as adjacency dicts {node: set(neighbours)}."""
+"""The one tree router: every rooting of a tree and every path in one.
+
+Trees arrive as adjacency dicts {node: set(neighbours)}.  Edge routing, the
+computation behind vertex congestion and the edge-path bags of the leaf
+base form, only ever needs the unique path between two nodes, and that path
+is found from a parent map alone: ``root_tree`` builds the map once per tree,
+and ``tree_path`` climbs from both ends, so a path costs time linear in its
+length and needs no depth table.  Code that grows a tree one subdivision at
+a time can keep its parent map up to date in place instead of re-rooting.
+"""
 
 from __future__ import annotations
 
@@ -38,37 +47,58 @@ def check_tree(adj) -> None:
         raise DomainError("tree is not connected")
 
 
-def tree_path(adj, a: int, b: int) -> list[int]:
-    """Node sequence from a to b inclusive."""
-    if a == b:
-        return [a]
-    parent = {a: None}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
+def root_tree(adj, root: int) -> tuple[dict[int, int | None], dict[int, list[int]]]:
+    """Parent map (the root maps to None) and children lists sorted by id,
+    from one breadth-first pass over the tree adj."""
+    parent: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = {}
+    order = [root]
+    for n in order:
+        kids = sorted(w for w in adj[n] if w != parent[n])
+        children[n] = kids
+        for w in kids:
+            parent[w] = n
+        order += kids
+    return parent, children
+
+
+def tree_path(parent, a: int, b: int) -> list[int]:
+    """Node sequence from a to b inclusive, in the tree given by a parent map.
+
+    Both ends climb towards the root in turn until one reaches a node the
+    other has passed; that node is the lowest common ancestor.
+    """
+    left, right = [a], [b]
+    on_left, on_right = {a: 0}, {b: 0}
+    while True:
+        x, y = left[-1], right[-1]
+        if x in on_right:
+            i, j = len(left) - 1, on_right[x]
             break
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    if b not in parent:
-        raise DomainError(f"nodes {a} and {b} are not connected")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
+        if y in on_left:
+            i, j = on_left[y], len(right) - 1
+            break
+        px, py = parent[x], parent[y]
+        if px is None and py is None:
+            raise DomainError(f"nodes {a} and {b} are not connected")
+        if px is not None:
+            on_left[px] = len(left)
+            left.append(px)
+        if py is not None:
+            on_right[py] = len(right)
+            right.append(py)
+    path = left[: i + 1]
+    path += reversed(right[:j])
     return path
 
 
 def sorted_edges(adj) -> list[tuple[int, int]]:
+    """Edges (a, b) with a < b, grouped by a in increasing order; within a
+    group, b follows the iteration order of the set adj[a], and the .td
+    format writes tree edges in this order."""
     out = []
     for a in sorted(adj):
         for b in adj[a]:
             if a < b:
                 out.append((a, b))
     return out
-
-
-def leaves(adj) -> list[int]:
-    return sorted(n for n, s in adj.items() if len(s) <= 1)

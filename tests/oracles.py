@@ -6,6 +6,7 @@ solvers under test: orderings are scored by direct interval counting and
 embeddings by the standalone congestion evaluator.
 """
 
+from collections import deque
 from itertools import permutations
 
 from linewidth.congestion import (
@@ -111,6 +112,22 @@ def brute_tree_congestion(g: Graph) -> int:
         if best is None or value < best:
             best = value
     return best
+
+
+def bfs_tree_path(adj, a: int, b: int) -> list[int]:
+    """Path from a to b in the tree adj by breadth-first search from a."""
+    prev = {a: None}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def subdivide_embedding(e: LeafEmbedding, edge, times: int = 1) -> LeafEmbedding:

@@ -141,16 +141,6 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "verify", "appendix", "a"])
-    assert exc.value.code == 2
-
-
-def test_threads_flag_accepted(tmp_path, capsys):
-    gr = tmp_path / "t.gr"
-    run(["gen", "complete", "3", "-o", gr], capsys)
-    code, out, _ = run(["--threads", "4", "exact", "tw", gr, "--no-witness"], capsys)
-    assert code == 0 and out == "tw 2\n"
 
 
 def test_verify_appendix_cli(capsys):

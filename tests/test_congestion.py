@@ -38,8 +38,9 @@ def test_vertex_congestion_triangle_on_star_tree():
 
 
 def test_vertex_congestion_single_edge():
-    e = LeafEmbedding((1, 2), [(1, 2)], {1: 1, 2: 2})
-    assert vertex_congestion(e, complete_graph(2))[0] == 1
+    for assignment in ({1: 1, 2: 2}, {1: 2, 2: 1}):
+        e = LeafEmbedding((1, 2), [(1, 2)], assignment)
+        assert vertex_congestion(e, complete_graph(2)) == (1, {1: 1, 2: 1})
 
 
 def test_vertex_congestion_counts_endpoints():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -20,15 +22,14 @@ def test_backend_is_reported():
 
 
 @given(graphs(min_vertices=1, max_vertices=7))
-def test_backends_agree(g):
-    impls = kernels.backends()
-    if len(impls) < 2:
-        pytest.skip("compiled kernels not built")
+def test_backends_agree(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     for name in KERNELS:
-        tables = [list(getattr(mod, name)(masks)) for mod in impls.values()]
-        for other in tables[1:]:
-            assert other == tables[0]
+        assert list(getattr(compiled_core, name)(masks)) == getattr(_pure, name)(masks)
+
+
+def test_compiled_core_is_loaded_on_the_side(compiled_core):
+    assert sys.modules.get("linewidth.kernels._core") is not compiled_core
 
 
 def test_kernel_vertex_limit():

@@ -1,59 +1,23 @@
 """Build script.
 
-The subset-DP solver kernels have a Cython implementation for speed.  If
-Cython or a C compiler is unavailable the build degrades gracefully and the
-package falls back to the pure-Python kernels at import time.
+The four subset-DP kernels have one compiled implementation,
+``src/linewidth/kernels/_core.c``, written against the CPython C API; it
+needs only a C compiler and the Python headers.  The extension is optional:
+if it cannot be built, installation still succeeds and the package selects
+the pure-Python kernels at import time.  Build it in place with
+
+    python setup.py build_ext --inplace
 """
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
-
-
-def _extensions():
-    try:
-        import numpy
-        from Cython.Build import cythonize
-        from setuptools import Extension
-    except ImportError as exc:
-        sys.stderr.write(f"linewidth: compiled kernels skipped ({exc})\n")
-        return []
-    return cythonize(
-        [
-            Extension(
-                "linewidth.kernels._core",
-                ["src/linewidth/kernels/_core.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible; never fail the whole install."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            sys.stderr.write(f"linewidth: compiled kernels skipped ({exc})\n")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            sys.stderr.write(
-                f"linewidth: building {ext.name} failed ({exc}); "
-                "pure-Python kernels will be used\n"
-            )
-
-
-setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "linewidth.kernels._core",
+            ["src/linewidth/kernels/_core.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -41,7 +41,7 @@ from linewidth.decompositions import (
 )
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.families import FAMILY_NAMES, FamilySpec, generate, sharp_embedding
-from linewidth.graphs import DomainError, read_gr, write_gr
+from linewidth.graphs import DomainError, read_gr, read_text, write_gr
 from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
 from linewidth.suite import run_theorem_checks
 
@@ -145,22 +145,22 @@ def _witness_path(args, suffix: str) -> Path:
 
 def _cmd_exact(args) -> int:
     g = read_gr(args.graph)
-    limit = args.limit
+    limit = {} if args.limit is None else {"max_vertices": args.limit}
     q = args.quantity
     if q == "tw":
-        res = exact_treewidth(g, **({"max_vertices": limit} if limit else {}))
+        res = exact_treewidth(g, **limit)
         value, witness, suffix = res.width, res.decomposition, "tw.td"
     elif q == "pw":
-        res = exact_pathwidth(g, **({"max_vertices": limit} if limit else {}))
+        res = exact_pathwidth(g, **limit)
         value, witness, suffix = res.width, res.decomposition, "pw.td"
     elif q == "cw":
-        cert = cutwidth(g, **({"max_vertices": limit} if limit else {}))
+        cert = cutwidth(g, **limit)
         value, witness, suffix = cert.value, cert.ordering, "cw.ord"
     elif q == "con":
-        cert = min_tree_congestion(g, **({"max_vertices": limit} if limit else {}))
+        cert = min_tree_congestion(g, **limit)
         value, witness, suffix = cert.value, cert.embedding, "con.emb"
     else:
-        cert = min_path_congestion(g, **({"max_vertices": limit} if limit else {}))
+        cert = min_path_congestion(g, **limit)
         value, witness, suffix = cert.value, cert.ordering, "pcon.ord"
     print(f"{q} {value}")
     if not args.no_witness:
@@ -255,13 +255,12 @@ def _cmd_gen(args) -> int:
 
 
 def _read_family(path: Path) -> FamilySpec | None:
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 2 and parts[0] == "c" and parts[1] == "family":
-                return FamilySpec.parse(parts[2:])
-            if parts and parts[0] == "p":
-                break
+    for line in read_text(path).splitlines():
+        parts = line.split()
+        if len(parts) >= 2 and parts[0] == "c" and parts[1] == "family":
+            return FamilySpec.parse(parts[2:])
+        if parts and parts[0] == "p":
+            break
     return None
 
 

@@ -25,6 +25,8 @@ from linewidth.graphs import (
     Graph,
     SolverLimitError,
     _adjacency_masks,
+    _int,
+    read_text,
 )
 from linewidth.treeops import adjacency, check_tree, root_tree, tree_path
 
@@ -188,8 +190,7 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
         raise DomainError("path congestion is undefined for an edgeless graph")
     active, masks = _active_masks(g)
     m = len(active)
-    if m > max_vertices:
-        raise SolverLimitError("path congestion solver", m, max_vertices)
+    kernels.check_limit("path congestion solver", m, max_vertices)
     if m == 2:
         cert = CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
         return cert
@@ -198,21 +199,20 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
         table, m, lambda s, u: kernels.cross_size(masks, s) + (masks[u] & s).bit_count()
     )
     ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(int(table[-1]), "path-vertex", ordering=ordering)
+    return CongestionCertificate(table[-1], "path-vertex", ordering=ordering)
 
 
 def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
     """Exact cutwidth via subset DP, with a witness ordering."""
     active, masks = _active_masks(g)
     m = len(active)
-    if m > max_vertices:
-        raise SolverLimitError("cutwidth solver", m, max_vertices)
+    kernels.check_limit("cutwidth solver", m, max_vertices)
     if m == 0:
         return CongestionCertificate(0, "path-edge", ordering=LinearOrdering(()))
     table = kernels.cutwidth_table(masks)
     order = kernels.backtrack(table, m, lambda s, u: kernels.cross_size(masks, s))
     ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(int(table[-1]), "path-edge", ordering=ordering)
+    return CongestionCertificate(table[-1], "path-edge", ordering=ordering)
 
 
 def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
@@ -414,17 +414,17 @@ def parse_emb(text: str) -> LeafEmbedding:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[1] != "emb":
                 raise FormatError(f"line {lineno}: expected 's emb <nodes> <n>'")
-            header = (int(parts[2]), int(parts[3]))
+            header = (_int(parts[2], lineno), _int(parts[3], lineno))
         elif parts[0] == "t":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 't <i> <j>'")
-            a, b = int(parts[1]), int(parts[2])
+            a, b = _int(parts[1], lineno), _int(parts[2], lineno)
             edges.append((a, b))
             nodes.update((a, b))
         elif parts[0] == "l":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'l <node> <vertex>'")
-            node, v = int(parts[1]), int(parts[2])
+            node, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if v in assignment:
                 raise FormatError(f"line {lineno}: vertex {v} assigned twice")
             assignment[v] = node
@@ -460,9 +460,9 @@ def parse_ord(text: str) -> LinearOrdering:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(parts) != 3 or parts[1] != "ord":
                 raise FormatError(f"line {lineno}: expected 's ord <k>'")
-            header = int(parts[2])
+            header = _int(parts[2], lineno)
         else:
-            ids.extend(int(tok) for tok in parts)
+            ids.extend(_int(tok, lineno) for tok in parts)
     if header is None:
         raise FormatError("missing 's ord' header")
     if len(ids) != header:
@@ -471,8 +471,7 @@ def parse_ord(text: str) -> LinearOrdering:
 
 
 def read_emb(path) -> LeafEmbedding:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_emb(fh.read())
+    return parse_emb(read_text(path))
 
 
 def write_emb(path, e: LeafEmbedding, g: Graph) -> None:
@@ -481,8 +480,7 @@ def write_emb(path, e: LeafEmbedding, g: Graph) -> None:
 
 
 def read_ord(path) -> LinearOrdering:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_ord(fh.read())
+    return parse_ord(read_text(path))
 
 
 def write_ord(path, o: LinearOrdering) -> None:

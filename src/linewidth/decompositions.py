@@ -24,8 +24,10 @@ from linewidth.graphs import (
     DomainError,
     FormatError,
     Graph,
+    _int,
     edge_id_map,
     line_graph,
+    read_text,
 )
 from linewidth.treeops import adjacency, check_tree, root_tree, sorted_edges, tree_path
 
@@ -516,22 +518,24 @@ def parse_td(text: str, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
                 raise FormatError(
                     f"line {lineno}: expected 's td <bags> <max_bag_size> <n>'"
                 )
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = (_int(parts[2], lineno), _int(parts[3], lineno), _int(parts[4], lineno))
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: bag before header")
-            bag_id = int(parts[1])
+            if len(parts) < 2:
+                raise FormatError(f"line {lineno}: expected 'b <id> <elems...>'")
+            bag_id = _int(parts[1], lineno)
             if bag_id in bags:
                 raise FormatError(f"line {lineno}: duplicate bag {bag_id}")
             if not (1 <= bag_id <= header[0]):
                 raise FormatError(f"line {lineno}: bag id {bag_id} out of range")
-            bags[bag_id] = {int(tok) for tok in parts[2:]}
+            bags[bag_id] = {_int(tok, lineno) for tok in parts[2:]}
         else:
             if header is None:
                 raise FormatError(f"line {lineno}: edge before header")
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected '<i> <j>'")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_int(parts[0], lineno), _int(parts[1], lineno)))
     if header is None:
         raise FormatError("missing 's td' header")
     num_bags, max_bag, _ = header
@@ -555,8 +559,7 @@ def as_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
 
 
 def read_td(path, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_td(fh.read(), subject)
+    return parse_td(read_text(path), subject)
 
 
 def write_td(path, d, g: Graph | None = None) -> None:

@@ -17,7 +17,7 @@ from linewidth.decompositions import (
     SUBJECT_GRAPH,
     TreeDecomposition,
 )
-from linewidth.graphs import DomainError, Graph, SolverLimitError, _adjacency_masks
+from linewidth.graphs import DomainError, Graph, _adjacency_masks
 
 SOLVER_LIMIT = 20
 
@@ -61,15 +61,14 @@ class PathwidthResult:
 def _prepare(g: Graph, max_vertices: int, what: str):
     if g.n == 0:
         raise DomainError(f"{what} is undefined for the empty graph")
-    if g.n > max_vertices:
-        raise SolverLimitError(f"{what} solver", g.n, max_vertices)
+    kernels.check_limit(f"{what} solver", g.n, max_vertices)
     return _adjacency_masks(g, g.vertices)
 
 
 def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResult:
     masks = _prepare(g, max_vertices, "treewidth")
     table = kernels.treewidth_table(masks)
-    tw = int(table[-1])
+    tw = table[-1]
     order = kernels.backtrack(
         table, g.n, lambda s, v: kernels.elimination_reach_count(masks, s ^ (1 << v), v)
     )
@@ -126,7 +125,7 @@ def _decomposition_from_elimination(g: Graph, ordering) -> TreeDecomposition:
 def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResult:
     masks = _prepare(g, max_vertices, "pathwidth")
     table = kernels.vertex_separation_table(masks)
-    pw = int(table[-1])
+    pw = table[-1]
     order_bits = kernels.backtrack(table, g.n, lambda s, v: kernels.border_size(masks, s))
     ordering = tuple(b + 1 for b in order_bits)
     # bag i = v_i plus the prefix vertices that still have later neighbours

@@ -302,13 +302,23 @@ def format_gr(g: Graph, comments: Sequence[str] = ()) -> str:
 
 
 def read_gr(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_gr(fh.read())
+    return parse_gr(read_text(path))
 
 
 def write_gr(path, g: Graph, comments: Sequence[str] = ()) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_gr(g, comments))
+
+
+def read_text(path) -> str:
+    """Contents of an ASCII input file; any other byte is a FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {lineno}: non-ASCII byte in {path}") from None
 
 
 def _int(token: str, lineno: int) -> int:

@@ -5,6 +5,7 @@
 compare them; the tests build and load the compiled one themselves.
 """
 
+from linewidth.graphs import SolverLimitError
 from linewidth.kernels import _pure
 
 try:  # compiled extension is optional
@@ -28,6 +29,15 @@ border_size = _pure.border_size
 cross_size = _pure.cross_size
 
 
+def check_limit(what: str, size: int, max_vertices: int) -> None:
+    """Raise SolverLimitError when size exceeds max_vertices or
+    MAX_KERNEL_VERTICES, whichever is smaller, so that no solver limit lets
+    an instance reach the kernels' own ValueError."""
+    limit = min(max_vertices, MAX_KERNEL_VERTICES)
+    if size > limit:
+        raise SolverLimitError(what, size, limit)
+
+
 def backtrack(table, n: int, cost) -> list[int]:
     """Vertex bits of an optimal ordering, first to last, read back from a
     subset-DP table with table[S] = min over v in S of max(table[S-v],
@@ -36,13 +46,13 @@ def backtrack(table, n: int, cost) -> list[int]:
     order = []
     s = (1 << n) - 1
     while s:
-        target = int(table[s])
+        target = table[s]
         rest = s
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if max(int(table[s ^ low]), cost(s, v)) == target:
+            if max(table[s ^ low], cost(s, v)) == target:
                 order.append(v)
                 s ^= low
                 break

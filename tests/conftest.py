@@ -51,22 +51,18 @@ def rng():
 
 @pytest.fixture(scope="session")
 def compiled_core(tmp_path_factory):
-    """The committed kernels/_core.c built with gcc into a temp dir and loaded
-    on the side, so kernels.BACKEND and sys.modules stay as they are.  Skips,
-    naming what is missing, only without gcc, Python.h or numpy."""
+    """kernels/_core.c built with gcc into a temp dir and loaded on the side,
+    so kernels.BACKEND and sys.modules stay as they are.  Skips, naming what
+    is missing, only without gcc or Python.h."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found: cannot build kernels/_core.c")
     include = sysconfig.get_paths()["include"]
     if not (Path(include) / "Python.h").exists():
         pytest.skip(f"Python.h not found in {include}: cannot build kernels/_core.c")
-    try:
-        import numpy
-    except ImportError:
-        pytest.skip("numpy not installed: cannot build kernels/_core.c")
     source = Path(kernels.__file__).with_name("_core.c")
     target = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [gcc, "-shared", "-fPIC", "-O2", f"-I{include}", f"-I{numpy.get_include()}"]
+    cmd = [gcc, "-shared", "-fPIC", "-O2", f"-I{include}"]
     subprocess.run(cmd + [str(source), "-o", str(target)], check=True, capture_output=True)
     name = "linewidth.kernels._core"
     saved = sys.modules.get(name)
@@ -74,7 +70,7 @@ def compiled_core(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
-    finally:  # the generated module registers itself under its full name
+    finally:  # a single-phase extension module registers itself under its full name
         if saved is None:
             sys.modules.pop(name, None)
         else:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import linewidth
 from linewidth.cli import main
 
 
@@ -132,6 +138,42 @@ def test_domain_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(["exact", "tw", tmp_path / "nope.gr"], capsys)
     assert code == 1 and "error" in err
+
+
+PATH26 = "p tw 26 25\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 26))
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"w.td": "s td 1 1 2\nb 1 x\n"}, ["validate", "w.td"], "line 2: expected an integer"),
+        ({"w.emb": "s emb 2 2\nt 1 z\n"}, ["validate", "w.emb"], "line 2: expected an integer"),
+        ({"w.ord": "s ord 2\n1 y\n"}, ["validate", "w.ord"], "line 2: expected an integer"),
+        ({"w.td": "s td 1 1 2\nb\n"}, ["validate", "w.td"], "line 2: expected 'b <id>"),
+        (
+            {"g.gr": "c caf\u00e9\np tw 2 1\n1 2\n", "w.ord": "s ord 2\n1 2\n"},
+            ["validate", "w.ord"],
+            "line 1: non-ASCII byte",
+        ),
+        ({"g.gr": PATH26}, ["exact", "tw", "g.gr", "--limit", "30"], "limit of 25"),
+        ({}, ["exact", "tw", "g.gr", "--limit", "0"], "limit of 0"),
+    ],
+    ids=["td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii", "limit-30", "limit-0"],
+)
+def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
+    files = {"g.gr": "p tw 2 1\n1 2\n", **files}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    if argv[0] == "validate":
+        argv = argv + ["--graph", "g.gr"]
+    env = dict(os.environ, PYTHONPATH=str(Path(linewidth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linewidth.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,11 +1,11 @@
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import graphs
 from linewidth import kernels
-from linewidth.graphs import _adjacency_masks
+from linewidth.graphs import Graph, _adjacency_masks
 from linewidth.kernels import _pure
 
 KERNELS = (
@@ -21,7 +21,10 @@ def test_backend_is_reported():
     assert "pure-python" in kernels.backends()
 
 
-@given(graphs(min_vertices=1, max_vertices=7))
+@given(graphs(min_vertices=0, max_vertices=9))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(9))
 def test_backends_agree(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     for name in KERNELS:
@@ -32,9 +35,13 @@ def test_compiled_core_is_loaded_on_the_side(compiled_core):
     assert sys.modules.get("linewidth.kernels._core") is not compiled_core
 
 
-def test_kernel_vertex_limit():
-    with pytest.raises(ValueError):
-        _pure.treewidth_table([0] * (kernels.MAX_KERNEL_VERTICES + 1))
+@pytest.mark.parametrize("backend", ["_pure", "compiled_core"])
+def test_kernel_vertex_limit(request, backend):
+    impl = _pure if backend == "_pure" else request.getfixturevalue(backend)
+    assert impl.MAX_KERNEL_VERTICES == kernels.MAX_KERNEL_VERTICES
+    for name in KERNELS:
+        with pytest.raises(ValueError, match="at most 25 vertices"):
+            getattr(impl, name)([0] * (kernels.MAX_KERNEL_VERTICES + 1))
 
 
 def test_elimination_reach_across_eliminated_set():

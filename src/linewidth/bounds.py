@@ -23,6 +23,7 @@ from linewidth.decompositions import (
     edge_path_bags,
     expand_to_line,
     limit_tree_degree,
+    occurrences,
     validate,
     width,
 )
@@ -30,9 +31,10 @@ from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.graphs import (
     DomainError,
     Graph,
+    SolverLimitError,
     connected_components,
     degree_stats,
-    edge_id_map,
+    incident_edge_ids,
     induced_subgraph,
     is_tree,
     line_graph,
@@ -151,19 +153,18 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
         return ImprovedConstruction(expanded, width(expanded), True, closed)
     td = d.as_tree() if is_path else limit_tree_degree(d)
     adj = td.adjacency()
-    nodes_with: dict[int, list[int]] = {}
-    for v in g.non_isolated_vertices():
-        nodes_with[v] = sorted(n for n in td.nodes if v in td.bags[n])
+    occ = occurrences(td.bags)
     base: dict[int, int] = {}
     chosen: dict[tuple[int, int], list[int]] = {}
     for v in g.non_isolated_vertices():
         deg = g.degree(v)
+        subtree = occ[v]
         if deg <= k1:
-            base[v] = nodes_with[v][0]
+            base[v] = min(subtree)
             continue
-        subtree = set(nodes_with[v])
+        # the edges of T_v in sorted_edges order
         subtree_edges = [
-            (a, b) for a, b in sorted_edges(adj) if a in subtree and b in subtree
+            (a, b) for a in sorted(subtree) for b in adj[a] if a < b and b in subtree
         ]
         best_val, best_edge, best_sides = None, None, None
         for a, b in subtree_edges:
@@ -255,11 +256,8 @@ def tree_line_decomposition(t: Graph) -> TreeDecomposition:
         raise DomainError("input graph is not a tree")
     if t.edge_count == 0:
         raise DomainError("the tree has no edges")
-    ids = edge_id_map(t)
-    bags = {
-        v: {ids[(v, w) if v < w else (w, v)] for w in t.neighbors(v)}
-        for v in t.vertices
-    }
+    incident = incident_edge_ids(t)
+    bags = {v: incident[v] for v in t.vertices}
     return TreeDecomposition(t.vertices, t.edges, bags, SUBJECT_LINE)
 
 
@@ -322,8 +320,12 @@ def bounds_report(
     if g.edge_count == 0:
         raise DomainError("the line graph is empty; bounds are vacuous")
     entries: list[BoundEntry] = []
-    avg = avg_degree_lower_bound(g, subgraph_limit)
-    entries.append(BoundEntry("avg-degree", "lower", TARGET_TW, avg.integer_bound))
+    skipped = []
+    try:
+        avg = avg_degree_lower_bound(g, subgraph_limit)
+        entries.append(BoundEntry("avg-degree", "lower", TARGET_TW, avg.integer_bound))
+    except SolverLimitError as exc:
+        skipped.append(f"skipped avg-degree: {exc}")
     entries.append(BoundEntry("min-degree", "lower", TARGET_TW, min_degree_lower_bound(g)))
     tw_g = exact_treewidth(g, solver_limit).width
     pw_g = exact_pathwidth(g, solver_limit).width
@@ -353,6 +355,6 @@ def bounds_report(
     t4 = next(e.value for e in entries if e.name == "balanced-split-tw")
     tighter = "incident-expansion-tw" if eq2 <= t4 else "balanced-split-tw"
     notes.append(f"smaller-upper {TARGET_TW} {tighter}")
-    report = BoundsReport(tuple(entries), exact, tuple(notes))
+    report = BoundsReport(tuple(entries), exact, tuple(notes + skipped))
     report.check_consistency()
     return report

@@ -23,7 +23,6 @@ from linewidth.graphs import (
     DomainError,
     FormatError,
     Graph,
-    SolverLimitError,
     _adjacency_masks,
     _int,
     read_text,
@@ -347,12 +346,11 @@ def min_tree_congestion(
         raise DomainError("tree congestion is undefined for an edgeless graph")
     active = g.non_isolated_vertices()
     m = len(active)
-    if m > max_vertices:
-        raise SolverLimitError("tree congestion solver", m, max_vertices)
+    kernels.check_limit("tree congestion solver", m, max_vertices)
     if m == 2:
         emb = LeafEmbedding((1, 2), [(1, 2)], {active[0]: 1, active[1]: 2})
         return CongestionCertificate(1, "tree-vertex", embedding=emb)
-    path_cert = min_path_congestion(g)
+    path_cert = min_path_congestion(g, max_vertices)
     best_value = path_cert.value
     best_emb = caterpillar_embedding(path_cert.ordering, g)
     delta = max(g.degree(v) for v in active)

@@ -4,8 +4,8 @@ decompositions of a graph and decompositions of its line graph.
 A decomposition is tagged with its *subject*: bags of an "of-G"
 decomposition contain vertex ids of the companion graph, bags of an
 "of-L(G)" decomposition contain edge ids (positions in ``Graph.edges``,
-1-based).  Validation always receives the companion graph g and builds the
-line graph itself when the subject requires it.
+1-based).  Validation always receives the companion graph g; the edges of
+L(g) are read off the edge ids incident to each vertex of g.
 
 The central normal form ("leaf base form") consists of a binary tree, an
 injection b of the non-isolated vertices onto its leaves, and bags that are
@@ -17,7 +17,9 @@ treewidth interchangeable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from linewidth.congestion import LeafEmbedding
 from linewidth.graphs import (
@@ -25,8 +27,7 @@ from linewidth.graphs import (
     FormatError,
     Graph,
     _int,
-    edge_id_map,
-    line_graph,
+    incident_edge_ids,
     read_text,
 )
 from linewidth.treeops import adjacency, check_tree, root_tree, sorted_edges, tree_path
@@ -102,12 +103,6 @@ class BaseNodeAssignment:
     def node_of(self, v: int) -> int:
         return self.by_vertex[v]
 
-    def vertices(self):
-        return sorted(self.by_vertex)
-
-    def nodes(self):
-        return sorted(set(self.by_vertex.values()))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -124,57 +119,65 @@ def width(d) -> int:
     return max(len(b) for b in bags) - 1
 
 
-def subject_graph(d, g: Graph) -> Graph:
-    """The graph the bags actually decompose: g itself or its line graph."""
-    return g if d.subject == SUBJECT_GRAPH else line_graph(g)[0]
+def occurrences(bags) -> dict[int, set[int]]:
+    """Map each element to the set of nodes whose bag holds it.  Elements
+    are keyed in the order they are first met, scanning the bags in the
+    order of the dict and each bag in its iteration order."""
+    occ: dict[int, set[int]] = {}
+    for node, bag in bags.items():
+        for x in bag:
+            if x in occ:
+                occ[x].add(node)
+            else:
+                occ[x] = {node}
+    return occ
 
 
 def validate(d, g: Graph) -> ValidationReport:
     """Check the three decomposition conditions of d against its subject.
 
-    Bag elements outside the subject's vertex range raise a DomainError;
-    the three conditions produce a report with the first violation found.
+    Bag elements outside the subject's vertex range raise a DomainError
+    naming the first one met in node id order; the three conditions
+    produce a report with the first violation found.  For L(g) the
+    adjacent pairs are the pairs of edge ids at a common vertex, and an
+    element's nodes are connected exactly when they span one tree edge
+    fewer than their number (a forest has one edge fewer than nodes per
+    component).
     """
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
-    target = subject_graph(d, g)
-    kind = "vertex" if d.subject == SUBJECT_GRAPH else "edge id"
-    occurrences: dict[int, list[int]] = {v: [] for v in target.vertices}
-    for node in td.nodes:
-        for x in td.bags[node]:
-            if not (1 <= x <= target.n):
-                raise DomainError(
-                    f"bag element out of range: {kind} {x} at node {node} "
-                    f"(subject has {target.n} elements)"
-                )
-            occurrences[x].append(node)
-    for x in target.vertices:
-        if not occurrences[x]:
+    if d.subject == SUBJECT_GRAPH:
+        size, kind, pairs = g.n, "vertex", g.edges
+    else:
+        size, kind = g.edge_count, "edge id"
+        pairs = (p for ids in incident_edge_ids(g) for p in combinations(ids, 2))
+    occ = occurrences(td.bags)
+    for x, nodes in occ.items():
+        if not (1 <= x <= size):
+            raise DomainError(
+                f"bag element out of range: {kind} {x} at node {min(nodes)} "
+                f"(subject has {size} elements)"
+            )
+    for x in range(1, size + 1):
+        if x not in occ:
             return ValidationReport(
                 False, "element-coverage", f"{kind} {x} appears in no bag"
             )
-    adj = td.adjacency()
-    for x in target.vertices:
-        nodes = set(occurrences[x])
-        start = occurrences[x][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for nb in adj[n]:
-                if nb in nodes and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != nodes:
+    spanned: Counter = Counter()
+    for a, b in td.tree_edges:
+        spanned.update(td.bags[a] & td.bags[b])
+    for x in range(1, size + 1):
+        if spanned[x] != len(occ[x]) - 1:
             return ValidationReport(
                 False,
                 "element-connectivity",
                 f"bags containing {kind} {x} do not form a connected subtree",
             )
-    for u, v in target.edges:
-        if not any(u in td.bags[n] and v in td.bags[n] for n in occurrences[u]):
-            return ValidationReport(
-                False, "edge-coverage", f"adjacent pair {{{u},{v}}} shares no bag"
-            )
+    uncovered = [(u, v) for u, v in pairs if occ[u].isdisjoint(occ[v])]
+    if uncovered:
+        u, v = min(uncovered)
+        return ValidationReport(
+            False, "edge-coverage", f"adjacent pair {{{u},{v}}} shares no bag"
+        )
     return ValidationReport(True)
 
 
@@ -191,16 +194,12 @@ def expand_to_line(d, g: Graph):
     if d.subject != SUBJECT_GRAPH:
         raise DomainError("input must be a decomposition of the graph itself")
     _require_valid(d, g)
-    ids = edge_id_map(g)
-    incident = {
-        v: frozenset(ids[(v, w) if v < w else (w, v)] for w in g.neighbors(v))
-        for v in g.vertices
-    }
+    incident = incident_edge_ids(g)
 
     def expand(bag):
         out: set[int] = set()
         for v in bag:
-            out |= incident[v]
+            out.update(incident[v])
         return out
 
     if isinstance(d, PathDecomposition):
@@ -219,10 +218,8 @@ class LeafBaseForm:
 def edge_path_bags(parent, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
     """Bag of every node of the tree given by a parent map: the ids of the
     edges uv of g whose path from base[u] to base[v] crosses the node."""
-    ids = edge_id_map(g)
     bags: dict[int, set[int]] = {n: set() for n in parent}
-    for u, v in g.edges:
-        eid = ids[(u, v)]
+    for eid, (u, v) in enumerate(g.edges, start=1):
         for node in tree_path(parent, base[u], base[v]):
             bags[node].add(eid)
     return bags
@@ -276,20 +273,11 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     if td.subject != SUBJECT_LINE:
         raise DomainError("input must be a decomposition of the line graph")
     _require_valid(td, g)
-    ids = edge_id_map(g)
-    active = g.non_isolated_vertices()
-    incident = {
-        v: frozenset(ids[(v, w) if v < w else (w, v)] for w in g.neighbors(v))
-        for v in active
-    }
+    incident = incident_edge_ids(g)
+    occ = occurrences(td.bags)
     base: dict[int, int] = {}
-    for v in active:
-        for node in td.nodes:
-            if incident[v] <= td.bags[node]:
-                base[v] = node
-                break
-        else:  # impossible for a valid decomposition
-            raise DomainError(f"no bag holds every edge at vertex {v}")
+    for v in g.non_isolated_vertices():
+        base[v] = min(set.intersection(*(occ[e] for e in incident[v])))
 
     adj = td.adjacency()
     next_id = max(td.nodes) + 1
@@ -435,24 +423,23 @@ def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:
         child, par = (x, y) if parent[x] == y else (y, x)
         parent[child], parent[z] = z, par
         bags[z] = (bags[x] - {v1}) | {w}
+    holders = occurrences(bags)  # kept equal to the bags through every addition
     for v, w in g.edges:
-        if any(v in bags[n] and w in bags[n] for n in adj):
+        if not holders[v].isdisjoint(holders[w]):
             continue
-        crossing = None
-        for a in sorted(adj):
-            for b in adj[a]:
-                if v in bags[a] and w in bags[b]:
-                    crossing = (a, b)
-                    break
-            if crossing:
-                break
+        crossing = next(
+            ((a, b) for a in sorted(holders[v]) for b in adj[a] if b in holders[w]),
+            None,
+        )
         if crossing is None:  # cannot happen: endpoint subtrees touch
             raise DomainError(f"no bag pair covers edge {{{v},{w}}}")
         a, b = crossing
         if parent[b] == a:
             bags[b].add(v)
+            holders[v].add(b)
         else:
             bags[a].add(w)
+            holders[w].add(a)
     for v in g.isolated_vertices():
         node = next_id
         next_id += 1
@@ -485,8 +472,6 @@ def limit_tree_degree(d: TreeDecomposition) -> TreeDecomposition:
 def format_td(d, g: Graph | None = None) -> str:
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
     remap = {n: i for i, n in enumerate(td.nodes, start=1)}
-    if isinstance(d, PathDecomposition):
-        remap = {i: i for i in range(1, len(d.bags) + 1)}
     max_bag = max((len(td.bags[n]) for n in td.nodes), default=0)
     universe = 0
     if g is not None:

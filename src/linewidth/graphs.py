@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -108,14 +109,19 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     endpoint.  Returns (L, labels) where labels[i-1] is the edge of g behind
     vertex i of L.  The labelling is stable: equal graphs give equal labels.
     """
-    ids = edge_id_map(g)
-    ledges = set()
-    for v in g.vertices:
-        incident = sorted(ids[_pair(v, w)] for w in g.neighbors(v))
-        for i in range(len(incident)):
-            for j in range(i + 1, len(incident)):
-                ledges.add((incident[i], incident[j]))
+    ledges = [pair for ids in incident_edge_ids(g) for pair in combinations(ids, 2)]
     return Graph(g.edge_count, ledges), g.edges
+
+
+def incident_edge_ids(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The ids of the edges at each vertex in increasing order, indexed by
+    vertex (entry 0 is empty).  Two edges share at most one endpoint, so the
+    pairs within these tuples are the edges of L(g), each exactly once."""
+    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for eid, (u, v) in enumerate(g.edges, start=1):
+        incident[u].append(eid)
+        incident[v].append(eid)
+    return tuple(map(tuple, incident))
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:

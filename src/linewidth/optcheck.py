@@ -139,7 +139,7 @@ def min_degree_split(s, parity: str, resolution: int = 32) -> GridSearchResult:
     return GridSearchResult("min", best, pt, resolution, closed, corners, feasible)
 
 
-def _partition_corner(s_res: int) -> CornerCheck:
+def _partition_corner() -> CornerCheck:
     point = (HALF, HALF, Fraction(0), HALF, HALF, Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     return CornerCheck(point, HALF, HALF, True)
 
@@ -147,58 +147,48 @@ def _partition_corner(s_res: int) -> CornerCheck:
 def max_grid_partition(resolution: int = 8, mode: str = "fast") -> GridSearchResult:
     """Grid maximum of check c.  Integer-scaled arithmetic: with xi = ai/R,
     yi = bi/R and zi = ti*ai*bi/R^3, every ai*R^3 is an integer, so the
-    balance constraints and the objective are compared exactly."""
+    balance constraints and the objective are compared exactly.
+
+    Fast mode is the same search with t1 = t2 = 0 and t3 = R: the slice
+    a3 = 0 (z3 = x3*y3), z1 = z2 = 0, where balance forces x1y1 = x2y2."""
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
     if mode not in ("fast", "full"):
         raise DomainError("mode must be 'fast' or 'full'")
     r = resolution
+    fast = mode == "fast"
+
+    def t_values(m: int, pinned: int):
+        return (pinned,) if fast else range(r + 1) if m else (0,)
+
     best = None  # (scaled objective, point-tuple of 9 fractions)
     feasible = 0
-    if mode == "fast":
-        # slice a3 = 0 (z3 = x3*y3), z1 = z2 = 0, balance forces x1y1 = x2y2
-        for a1 in range(r + 1):
-            for a2 in range(r + 1 - a1):
-                a3 = r - a1 - a2
-                for b1 in range(r + 1):
-                    for b2 in range(r + 1 - b1):
-                        if a1 * b1 != a2 * b2:
-                            continue
-                        b3 = r - b1 - b2
-                        feasible += 1
-                        scaled = 2 * a2 * b2 * r  # objective in units 1/r^3
-                        point = _point(r, a1, b1, 0, a2, b2, 0, a3, b3, a3 * b3 * r)
-                        if best is None or scaled > best[0] or (
-                            scaled == best[0] and point < best[1]
-                        ):
-                            best = (scaled, point)
-    else:
-        for a1 in range(r + 1):
-            for a2 in range(r + 1 - a1):
-                a3 = r - a1 - a2
-                for b1 in range(r + 1):
-                    for b2 in range(r + 1 - b1):
-                        b3 = r - b1 - b2
-                        m1, m2, m3 = a1 * b1, a2 * b2, a3 * b3
-                        for t1 in range(r + 1) if m1 else (0,):
-                            al1 = m1 * (r - t1)
-                            for t2 in range(r + 1) if m2 else (0,):
-                                al2 = m2 * (r - t2)
-                                for t3 in range(r + 1) if m3 else (0,):
-                                    al3 = m3 * (r - t3)
-                                    if al1 > al2 + al3 or al2 > al1 + al3 or al3 > al1 + al2:
-                                        continue
-                                    feasible += 1
-                                    scaled = al1 + al2 + al3
-                                    if best is not None and scaled < best[0]:
-                                        continue
-                                    point = _point(
-                                        r, a1, b1, m1 * t1, a2, b2, m2 * t2, a3, b3, m3 * t3
-                                    )
-                                    if best is None or scaled > best[0] or (
-                                        scaled == best[0] and point < best[1]
-                                    ):
-                                        best = (scaled, point)
+    for a1 in range(r + 1):
+        for a2 in range(r + 1 - a1):
+            a3 = r - a1 - a2
+            for b1 in range(r + 1):
+                for b2 in range(r + 1 - b1):
+                    b3 = r - b1 - b2
+                    m1, m2, m3 = a1 * b1, a2 * b2, a3 * b3
+                    for t1 in t_values(m1, 0):
+                        al1 = m1 * (r - t1)
+                        for t2 in t_values(m2, 0):
+                            al2 = m2 * (r - t2)
+                            for t3 in t_values(m3, r):
+                                al3 = m3 * (r - t3)
+                                if al1 > al2 + al3 or al2 > al1 + al3 or al3 > al1 + al2:
+                                    continue
+                                feasible += 1
+                                scaled = al1 + al2 + al3  # objective in units 1/r^3
+                                if best is not None and scaled < best[0]:
+                                    continue
+                                point = _point(
+                                    r, a1, b1, m1 * t1, a2, b2, m2 * t2, a3, b3, m3 * t3
+                                )
+                                if best is None or scaled > best[0] or (
+                                    scaled == best[0] and point < best[1]
+                                ):
+                                    best = (scaled, point)
     extremum = Fraction(best[0], r**3)
     return GridSearchResult(
         "max",
@@ -206,7 +196,7 @@ def max_grid_partition(resolution: int = 8, mode: str = "fast") -> GridSearchRes
         best[1],
         resolution,
         HALF,
-        (_partition_corner(r),),
+        (_partition_corner(),),
         feasible,
     )
 

@@ -1,13 +1,15 @@
 """Independent brute-force oracles for the solver tests.
 
 Everything here works by plain enumeration (permutations, all labelled
-binary trees) and evaluates candidates with code paths separate from the
-solvers under test: orderings are scored by direct interval counting and
-embeddings by the standalone congestion evaluator.
+binary trees, all pairs of edges) and evaluates candidates with code paths
+separate from the solvers under test: orderings are scored by direct
+interval counting, embeddings by the standalone congestion evaluator and
+decompositions by a depth-first search per element over a line graph
+built by comparing every pair of edges.
 """
 
 from collections import deque
-from itertools import permutations
+from itertools import combinations, permutations
 
 from linewidth.congestion import (
     LeafEmbedding,
@@ -16,7 +18,8 @@ from linewidth.congestion import (
     ordering_vertex_congestion,
     vertex_congestion,
 )
-from linewidth.graphs import Graph
+from linewidth.decompositions import SUBJECT_GRAPH, PathDecomposition, ValidationReport
+from linewidth.graphs import DomainError, Graph
 
 
 def eliminate(g: Graph, order) -> int:
@@ -140,3 +143,60 @@ def subdivide_embedding(e: LeafEmbedding, edge, times: int = 1) -> LeafEmbedding
     nodes += chain[1:-1]
     edges += list(zip(chain, chain[1:]))
     return LeafEmbedding(nodes, edges, e.assignment)
+
+
+def brute_line_edges(g: Graph) -> list[tuple[int, int]]:
+    """Pairs of edge ids (i < j) whose edges share an endpoint, in
+    lexicographic order."""
+    return [
+        (i, j)
+        for (i, e), (j, f) in combinations(enumerate(g.edges, start=1), 2)
+        if set(e) & set(f)
+    ]
+
+
+def validate_via_line_graph(d, g: Graph) -> ValidationReport:
+    """The three decomposition conditions checked the long way: build the
+    subject graph (L(g) from brute_line_edges), index every element's nodes
+    while range-checking, then walk each element's nodes by depth-first
+    search.  Reports and errors read as those of ``validate``."""
+    td = d.as_tree() if isinstance(d, PathDecomposition) else d
+    if d.subject == SUBJECT_GRAPH:
+        target, kind = g, "vertex"
+    else:
+        target, kind = Graph(g.edge_count, brute_line_edges(g)), "edge id"
+    occurrences: dict[int, list[int]] = {v: [] for v in target.vertices}
+    for node in td.nodes:
+        for x in td.bags[node]:
+            if not (1 <= x <= target.n):
+                raise DomainError(
+                    f"bag element out of range: {kind} {x} at node {node} "
+                    f"(subject has {target.n} elements)"
+                )
+            occurrences[x].append(node)
+    for x in target.vertices:
+        if not occurrences[x]:
+            return ValidationReport(False, "element-coverage", f"{kind} {x} appears in no bag")
+    adj = td.adjacency()
+    for x in target.vertices:
+        nodes = set(occurrences[x])
+        seen = {occurrences[x][0]}
+        stack = list(seen)
+        while stack:
+            n = stack.pop()
+            for nb in adj[n]:
+                if nb in nodes and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != nodes:
+            return ValidationReport(
+                False,
+                "element-connectivity",
+                f"bags containing {kind} {x} do not form a connected subtree",
+            )
+    for u, v in target.edges:
+        if not any(u in td.bags[n] and v in td.bags[n] for n in occurrences[u]):
+            return ValidationReport(
+                False, "edge-coverage", f"adjacent pair {{{u},{v}}} shares no bag"
+            )
+    return ValidationReport(True)

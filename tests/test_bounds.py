@@ -177,6 +177,17 @@ def test_bounds_report_serialization_shape():
         assert line.split()[0] in ("bound", "exact", "note")
 
 
+def test_bounds_report_skips_avg_degree_past_subgraph_limit():
+    g = cycle_graph(5)
+    full = bounds_report(g)
+    rep = bounds_report(g, subgraph_limit=4)
+    assert rep.entries == tuple(e for e in full.entries if e.name != "avg-degree")
+    assert rep.notes == full.notes + (
+        "skipped avg-degree: minimal dense subgraph search: "
+        "instance size 5 exceeds the limit of 4",
+    )
+
+
 def test_bounds_report_rejects_edgeless():
     with pytest.raises(DomainError):
         bounds_report(Graph(3))

@@ -156,9 +156,17 @@ PATH26 = "p tw 26 25\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 26))
             "line 1: non-ASCII byte",
         ),
         ({"g.gr": PATH26}, ["exact", "tw", "g.gr", "--limit", "30"], "limit of 25"),
+        (
+            {"g.gr": PATH26},
+            ["exact", "con", "g.gr", "--limit", "30"],
+            "tree congestion solver: instance size 26 exceeds the limit of 25",
+        ),
         ({}, ["exact", "tw", "g.gr", "--limit", "0"], "limit of 0"),
     ],
-    ids=["td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii", "limit-30", "limit-0"],
+    ids=[
+        "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
+        "limit-30", "con-limit-30", "limit-0",
+    ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
     files = {"g.gr": "p tw 2 1\n1 2\n", **files}

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs, retag_line
 from linewidth.congestion import LeafEmbedding, min_tree_congestion, vertex_congestion
@@ -22,10 +25,13 @@ from linewidth.graphs import (
     DomainError,
     Graph,
     complete_graph,
+    incident_edge_ids,
     line_graph,
     path_graph,
     star_graph,
 )
+from linewidth.treeops import adjacency
+from oracles import brute_line_edges, validate_via_line_graph
 
 
 def test_validate_single_bag_over_triangle():
@@ -61,6 +67,79 @@ def test_validate_range_error_is_distinct():
     d = TreeDecomposition([1], [], {1: {9}})
     with pytest.raises(DomainError, match="out of range"):
         validate(d, complete_graph(2))
+
+
+@st.composite
+def decomposition_cases(draw):
+    """A graph and a decomposition of it or of its line graph: a random tree
+    (a path in id order or with scattered node ids) and each element on a
+    connected node set grown from a hub node, which makes it valid, or from
+    a random node.  Then at most one flaw: an element left out, one or two
+    memberships toggled, or an out-of-range element added to some bags."""
+    g = draw(graphs(max_vertices=6))
+    subject = draw(st.sampled_from([SUBJECT_GRAPH, SUBJECT_LINE]))
+    size = g.n if subject == SUBJECT_GRAPH else g.edge_count
+    k = draw(st.integers(1, 7))
+    as_path = draw(st.booleans())
+    if as_path:
+        ids = list(range(1, k + 1))
+        edges = [(i, i + 1) for i in range(1, k)]
+    else:
+        ids = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k, unique=True))
+        edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, k)]
+    adj = adjacency(ids, edges)
+    hub = draw(st.sampled_from(ids))
+    from_hub = draw(st.booleans())
+    flaw = draw(st.sampled_from(["none", "left-out", "toggled", "out-of-range"]))
+    left_out = draw(st.integers(1, size)) if flaw == "left-out" and size else None
+    bags = {n: set() for n in ids}
+    for x in range(1, size + 1):
+        if x == left_out:
+            continue
+        held = {hub if from_hub else draw(st.sampled_from(ids))}
+        for _ in range(draw(st.integers(0, k - 1))):
+            frontier = sorted({w for n in held for w in adj[n]} - held)
+            if not frontier:
+                break
+            held.add(draw(st.sampled_from(frontier)))
+        for n in held:
+            bags[n].add(x)
+    if flaw == "toggled" and size:
+        for _ in range(draw(st.integers(1, 2))):
+            bags[draw(st.sampled_from(ids))] ^= {draw(st.integers(1, size))}
+    if flaw == "out-of-range":
+        bad = draw(st.sampled_from([-1, 0, size + 1, size + 3]))
+        for n in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3)):
+            bags[n].add(bad)
+    if as_path:
+        return PathDecomposition([bags[i] for i in ids], subject), g
+    return TreeDecomposition(ids, edges, bags, subject), g
+
+
+@settings(max_examples=300)
+@given(decomposition_cases())
+def test_validate_matches_line_graph_oracle(case):
+    d, g = case
+    try:
+        expected = validate_via_line_graph(d, g)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            validate(d, g)
+        assert str(got.value) == str(exc)
+        return
+    assert validate(d, g) == expected
+
+
+@given(graphs(max_vertices=7))
+def test_incident_edge_ids_pair_into_the_line_graph(g):
+    incident = incident_edge_ids(g)
+    assert len(incident) == g.n + 1 and incident[0] == ()
+    for v in g.vertices:
+        assert list(incident[v]) == sorted(
+            i for i, e in enumerate(g.edges, start=1) if v in e
+        )
+    pairs = sorted(p for ids in incident for p in combinations(ids, 2))
+    assert pairs == brute_line_edges(g) == list(line_graph(g)[0].edges)
 
 
 def test_width_requires_bags():

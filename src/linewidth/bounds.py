@@ -93,15 +93,24 @@ def min_degree_lower_bound(g: Graph) -> int:
     return best
 
 
-def elementary_bounds(g: Graph, tw_g: int, pw_g: int) -> tuple[BoundEntry, ...]:
+def elementary_bounds(g: Graph, tw_g: int | None, pw_g: int | None) -> tuple[BoundEntry, ...]:
+    """The bounds built from tw(G), pw(G) and the maximum degree alone; an
+    entry built from a width given as None is left out."""
     delta = g.max_degree()
-    return (
-        BoundEntry("endpoint-halving", "lower", TARGET_TW, Fraction(tw_g + 1, 2) - 1),
-        BoundEntry("incident-expansion-tw", "upper", TARGET_TW, (tw_g + 1) * delta - 1),
-        BoundEntry("incident-expansion-pw", "upper", TARGET_PW, (pw_g + 1) * delta - 1),
-        BoundEntry("graph-treewidth", "lower", TARGET_TW, tw_g - 1),
-        BoundEntry("star-clique", "lower", TARGET_TW, delta - 1),
-    )
+    entries = []
+    if tw_g is not None:
+        entries += [
+            BoundEntry("endpoint-halving", "lower", TARGET_TW, Fraction(tw_g + 1, 2) - 1),
+            BoundEntry("incident-expansion-tw", "upper", TARGET_TW, (tw_g + 1) * delta - 1),
+        ]
+    if pw_g is not None:
+        entries.append(
+            BoundEntry("incident-expansion-pw", "upper", TARGET_PW, (pw_g + 1) * delta - 1)
+        )
+    if tw_g is not None:
+        entries.append(BoundEntry("graph-treewidth", "lower", TARGET_TW, tw_g - 1))
+    entries.append(BoundEntry("star-clique", "lower", TARGET_TW, delta - 1))
+    return tuple(entries)
 
 
 def balanced_split_bound_tree(tw_g: int, delta: int) -> Fraction:
@@ -306,20 +315,33 @@ def format_value(value) -> str:
     return str(value)
 
 
-def bounds_report(
-    g: Graph,
-    compute_exact: bool = False,
-    solver_limit: int = 20,
-    subgraph_limit: int = 18,
-) -> BoundsReport:
+# the entries and notes of bounds_report built from each exact width of g
+_BUILT_FROM_TW = (
+    "endpoint-halving",
+    "incident-expansion-tw",
+    "graph-treewidth",
+    "balanced-split-tw",
+    "conjectured-half-expansion",
+    "smaller-upper",
+)
+_BUILT_FROM_PW = ("incident-expansion-pw", "balanced-split-pw")
+_BUILT_FROM_CW = ("cutwidth", "cutwidth-slack")
+
+
+def bounds_report(g: Graph, compute_exact: bool = False, subgraph_limit: int = 18) -> BoundsReport:
     """All closed-form bounds side by side, with exact line-graph widths on
     request.  Internal consistency (every lower <= every upper, and both
-    against exact values when present) is enforced before returning."""
+    against exact values when present) is enforced before returning.
+
+    When a solver refuses g for its size, the entries and notes built from
+    that value are left out and each is named in a ``skipped`` note; with
+    compute_exact the refusal is raised instead."""
     if g.n == 0:
         raise DomainError("undefined on the empty graph")
     if g.edge_count == 0:
         raise DomainError("the line graph is empty; bounds are vacuous")
     entries: list[BoundEntry] = []
+    notes: list[str] = []
     skipped = []
     try:
         avg = avg_degree_lower_bound(g, subgraph_limit)
@@ -327,34 +349,43 @@ def bounds_report(
     except SolverLimitError as exc:
         skipped.append(f"skipped avg-degree: {exc}")
     entries.append(BoundEntry("min-degree", "lower", TARGET_TW, min_degree_lower_bound(g)))
-    tw_g = exact_treewidth(g, solver_limit).width
-    pw_g = exact_pathwidth(g, solver_limit).width
-    entries.extend(elementary_bounds(g, tw_g, pw_g))
+
+    def solve(solver, built_from):
+        try:
+            return solver()
+        except SolverLimitError as exc:
+            if compute_exact:
+                raise
+            skipped.extend(f"skipped {name}: {exc}" for name in built_from)
+            return None
+
     delta = g.max_degree()
-    entries.append(
-        BoundEntry("balanced-split-tw", "upper", TARGET_TW, balanced_split_bound_tree(tw_g, delta))
-    )
-    entries.append(
-        BoundEntry("balanced-split-pw", "upper", TARGET_PW, balanced_split_bound_path(pw_g, delta))
-    )
-    notes = [
-        f"conjectured-half-expansion {TARGET_TW} {format_value(Fraction(tw_g + 1, 2) * delta - 1)}"
-    ]
-    if delta >= 2:
-        cw = cutwidth_solver(g, max_vertices=solver_limit).value
-        entries.append(BoundEntry("cutwidth", "lower", TARGET_PW, cw))
-        entries.append(
-            BoundEntry("cutwidth-slack", "upper", TARGET_PW, cw + delta // 2 - 1)
+    tw_g = solve(lambda: exact_treewidth(g).width, _BUILT_FROM_TW)
+    pw_g = solve(lambda: exact_pathwidth(g).width, _BUILT_FROM_PW)
+    entries.extend(elementary_bounds(g, tw_g, pw_g))
+    if tw_g is not None:
+        t4 = balanced_split_bound_tree(tw_g, delta)
+        entries.append(BoundEntry("balanced-split-tw", "upper", TARGET_TW, t4))
+        notes.append(
+            f"conjectured-half-expansion {TARGET_TW} "
+            f"{format_value(Fraction(tw_g + 1, 2) * delta - 1)}"
         )
+        eq2 = next(e.value for e in entries if e.name == "incident-expansion-tw")
+        tighter = "incident-expansion-tw" if eq2 <= t4 else "balanced-split-tw"
+        notes.append(f"smaller-upper {TARGET_TW} {tighter}")
+    if pw_g is not None:
+        bs_pw = balanced_split_bound_path(pw_g, delta)
+        entries.append(BoundEntry("balanced-split-pw", "upper", TARGET_PW, bs_pw))
+    if delta >= 2:
+        cw = solve(lambda: cutwidth_solver(g).value, _BUILT_FROM_CW)
+        if cw is not None:
+            entries.append(BoundEntry("cutwidth", "lower", TARGET_PW, cw))
+            entries.append(BoundEntry("cutwidth-slack", "upper", TARGET_PW, cw + delta // 2 - 1))
     exact: dict[str, int] = {}
     if compute_exact:
         lg, _ = line_graph(g)
-        exact[TARGET_TW] = exact_treewidth(lg, solver_limit).width
-        exact[TARGET_PW] = exact_pathwidth(lg, solver_limit).width
-    eq2 = next(e.value for e in entries if e.name == "incident-expansion-tw")
-    t4 = next(e.value for e in entries if e.name == "balanced-split-tw")
-    tighter = "incident-expansion-tw" if eq2 <= t4 else "balanced-split-tw"
-    notes.append(f"smaller-upper {TARGET_TW} {tighter}")
+        exact[TARGET_TW] = exact_treewidth(lg).width
+        exact[TARGET_PW] = exact_pathwidth(lg).width
     report = BoundsReport(tuple(entries), exact, tuple(notes + skipped))
     report.check_consistency()
     return report

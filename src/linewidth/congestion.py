@@ -209,7 +209,7 @@ def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCerti
     if m == 0:
         return CongestionCertificate(0, "path-edge", ordering=LinearOrdering(()))
     table = kernels.cutwidth_table(masks)
-    order = kernels.backtrack(table, m, lambda s, u: kernels.cross_size(masks, s))
+    order = kernels.backtrack(table, m, lambda s, u: table[s])
     ordering = LinearOrdering(active[u] for u in order)
     return CongestionCertificate(table[-1], "path-edge", ordering=ordering)
 
@@ -372,14 +372,12 @@ class GolovachReport:
     holds: bool
 
 
-def golovach_check(
-    g: Graph, max_vertices: int = PATH_SOLVER_LIMIT
-) -> GolovachReport:
+def golovach_check(g: Graph) -> GolovachReport:
     delta = g.max_degree()
     if delta < 2:
         raise DomainError("inequality requires maximum degree at least 2")
-    pw_line = min_path_congestion(g, max_vertices=max_vertices).value - 1
-    cw = cutwidth(g, max_vertices=max_vertices).value
+    pw_line = min_path_congestion(g).value - 1
+    cw = cutwidth(g).value
     lower = pw_line - delta // 2 + 1
     return GolovachReport(lower, cw, pw_line, lower <= cw <= pw_line)
 

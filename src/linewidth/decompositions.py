@@ -469,15 +469,11 @@ def limit_tree_degree(d: TreeDecomposition) -> TreeDecomposition:
 # "b <bag_id> <elem...>"; remaining lines are tree edges "<i> <j>".  Path
 # decompositions serialise with node ids in path order.
 
-def format_td(d, g: Graph | None = None) -> str:
+def format_td(d, g: Graph) -> str:
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
     remap = {n: i for i, n in enumerate(td.nodes, start=1)}
     max_bag = max((len(td.bags[n]) for n in td.nodes), default=0)
-    universe = 0
-    if g is not None:
-        universe = g.n if d.subject == SUBJECT_GRAPH else g.edge_count
-    else:
-        universe = max((max(b) for b in td.bags.values() if b), default=0)
+    universe = g.n if d.subject == SUBJECT_GRAPH else g.edge_count
     lines = [f"s td {len(td.nodes)} {max_bag} {universe}"]
     for n in td.nodes:
         elems = " ".join(str(x) for x in sorted(td.bags[n]))
@@ -547,6 +543,6 @@ def read_td(path, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
     return parse_td(read_text(path), subject)
 
 
-def write_td(path, d, g: Graph | None = None) -> None:
+def write_td(path, d, g: Graph) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_td(d, g))

@@ -69,9 +69,7 @@ def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResu
     masks = _prepare(g, max_vertices, "treewidth")
     table = kernels.treewidth_table(masks)
     tw = table[-1]
-    order = kernels.backtrack(
-        table, g.n, lambda s, v: kernels.elimination_reach_count(masks, s ^ (1 << v), v)
-    )
+    order = kernels.backtrack(table, g.n, lambda s, v: kernels.component_reach(masks, s, v)[1])
     ordering = tuple(v + 1 for v in order)
     cert = EliminationCertificate(ordering, tw)
     if cert.simulate(g) != tw:  # internal consistency; never expected
@@ -126,7 +124,7 @@ def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResu
     masks = _prepare(g, max_vertices, "pathwidth")
     table = kernels.vertex_separation_table(masks)
     pw = table[-1]
-    order_bits = kernels.backtrack(table, g.n, lambda s, v: kernels.border_size(masks, s))
+    order_bits = kernels.backtrack(table, g.n, lambda s, v: table[s])
     ordering = tuple(b + 1 for b in order_bits)
     # bag i = v_i plus the prefix vertices that still have later neighbours
     bags: list[frozenset[int]] = []

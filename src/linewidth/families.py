@@ -129,7 +129,7 @@ def generate(spec: FamilySpec) -> Graph:
     if spec.family == "cycle-power-matched":
         return _cycle_power_matched(*spec.params)
     if spec.family == "grid-cliques":
-        return _grid_cliques(*spec.params)
+        return _grid_cliques(*spec.params)[0]
     raise DomainError(f"unknown family {spec.family!r}")
 
 
@@ -145,7 +145,10 @@ def _cycle_power_matched(n: int, k: int) -> Graph:
     return h
 
 
-def _grid_cliques(n: int, k: int) -> Graph:
+def _grid_cliques(n: int, k: int) -> tuple[Graph, dict[int, list[list[int]]]]:
+    """The graph, and the pendant cliques of each grid vertex as member
+    lists with the attachment vertex first."""
+
     def grid_id(r: int, c: int) -> int:
         return (r - 1) * n + c
 
@@ -162,52 +165,23 @@ def _grid_cliques(n: int, k: int) -> Graph:
         for c in range(1, n + 1)
     }
     next_id = n * n + 1
-    groups: dict[int, list[int]] = {v: [] for v in grid_degree}
+    groups: dict[int, list[list[int]]] = {v: [] for v in grid_degree}
     for v in sorted(grid_degree):
         for _ in range(k - grid_degree[v]):
             members = list(range(next_id, next_id + k + 1))
             next_id += k + 1
-            edges.append((v, members[0]))  # attachment vertex first
+            edges.append((v, members[0]))
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     edges.append((members[i], members[j]))
-            groups[v].extend(members)
+            groups[v].append(members)
     g = Graph(next_id - 1, edges)
+    attachments = {members[0] for cliques in groups.values() for members in cliques}
     for v in g.vertices:
-        expected = k + 1 if _is_attachment(v, n, k) else k
+        expected = k + 1 if v in attachments else k
         if g.degree(v) != expected:
             raise DomainError("grid-cliques degrees are off; generator bug")
-    return g
-
-
-def _is_attachment(v: int, n: int, k: int) -> bool:
-    if v <= n * n:
-        return False
-    return (v - n * n - 1) % (k + 1) == 0
-
-
-def grid_clique_positions(n: int, k: int) -> dict[int, int]:
-    """Path position of every vertex: grid vertex i sits at i (row-major
-    labelling), and each pendant clique shares its grid vertex's position."""
-    g = generate(FamilySpec("grid-cliques", (n, k)))
-    positions = {v: v for v in range(1, n * n + 1)}
-    for v in range(n * n + 1, g.n + 1):
-        # find the grid vertex this clique member hangs from
-        offset = (v - n * n - 1) // (k + 1)
-        positions[v] = _attachment_owner(n, k, offset)
-    return positions
-
-
-def _attachment_owner(n: int, k: int, clique_index: int) -> int:
-    count = 0
-    for v in range(1, n * n + 1):
-        r, c = divmod(v - 1, n)
-        deg = (1 <= r <= n - 2) + (1 <= c <= n - 2) + 2
-        cliques_here = k - deg
-        if clique_index < count + cliques_here:
-            return v
-        count += cliques_here
-    raise DomainError("clique index out of range")
+    return g, groups
 
 
 def positional_line_decomposition(g: Graph, positions: dict[int, int]) -> PathDecomposition:
@@ -244,9 +218,9 @@ def sharp_embedding(spec: FamilySpec) -> SharpConstruction:
     """The stated sharp ordering of a family, rebuilt into a decomposition
     of the line graph: vertex i at path position i for the power families,
     whole grid groups sharing a position for grid-cliques."""
-    g = generate(spec)
     if spec.family in ("path-power", "cycle-power", "cycle-power-matched"):
         n, k = spec.params
+        g = generate(spec)
         positions = {v: v for v in g.vertices}
         ordering = LinearOrdering(range(1, n + 1))
         if spec.family == "path-power":
@@ -258,7 +232,11 @@ def sharp_embedding(spec: FamilySpec) -> SharpConstruction:
             is_upper = False
     elif spec.family == "grid-cliques":
         n, k = spec.params
-        positions = grid_clique_positions(n, k)
+        g, groups = _grid_cliques(n, k)
+        # grid vertex i sits at i (row-major), its pendant cliques with it
+        positions = {v: v for v in groups}
+        for v, cliques in groups.items():
+            positions.update((u, v) for members in cliques for u in members)
         ordering = None
         closed, is_upper = 4 * n + 4 + (k - 2) * (k * (k + 1) // 2 + 1) - 1, True
     else:
@@ -282,12 +260,12 @@ class BipartiteCheck:
     holds: bool
 
 
-def bipartite_lower_check(p: int, q: int, solver_limit: int = 20) -> BipartiteCheck:
+def bipartite_lower_check(p: int, q: int) -> BipartiteCheck:
     """pq/2 - 1 <= tw(L(K_{p,q})), checked against the exact solver.
     L(K_{p,q}) has pq vertices (the clique-product grid), so pq must stay
     within the solver limit."""
     spec = FamilySpec("complete-bipartite", (p, q))
     lg, _ = line_graph(generate(spec))
-    exact = exact_treewidth(lg, solver_limit).width
+    exact = exact_treewidth(lg).width
     bound = Fraction(p * q, 2) - 1
     return BipartiteCheck(bound, exact, bound <= exact)

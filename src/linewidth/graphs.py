@@ -185,9 +185,9 @@ def minimal_dense_vertex_set(g: Graph, max_vertices: int = 18) -> tuple[int, ...
     return tuple(v + 1 for v in range(g.n) if best_s >> v & 1)
 
 
-def minimal_dense_subgraph(g: Graph, max_vertices: int = 18) -> Graph:
+def minimal_dense_subgraph(g: Graph) -> Graph:
     """Induced subgraph of maximum average degree with fewest vertices."""
-    return induced_subgraph(g, minimal_dense_vertex_set(g, max_vertices))
+    return induced_subgraph(g, minimal_dense_vertex_set(g))
 
 
 def _adjacency_masks(g: Graph, vertices: Sequence[int]) -> list[int]:

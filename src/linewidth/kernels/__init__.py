@@ -23,9 +23,8 @@ vertex_separation_table = _impl.vertex_separation_table
 cutwidth_table = _impl.cutwidth_table
 path_congestion_table = _impl.path_congestion_table
 
-# scalar helpers used for witness reconstruction, independent of backend
-elimination_reach_count = _pure.elimination_reach_count
-border_size = _pure.border_size
+# backtrack costs that the table alone does not give, independent of backend
+component_reach = _pure.component_reach
 cross_size = _pure.cross_size
 
 
@@ -42,7 +41,9 @@ def backtrack(table, n: int, cost) -> list[int]:
     """Vertex bits of an optimal ordering, first to last, read back from a
     subset-DP table with table[S] = min over v in S of max(table[S-v],
     cost(S, v)).  Walking down from the full set, the lowest bit v that
-    attains table[S] is placed last in S, so the ordering is deterministic."""
+    attains table[S] is placed last in S, so the ordering is deterministic.
+    Where the cost depends on S alone, cost(S, v) = table[S] picks the same
+    v, since v attains table[S] exactly when table[S-v] <= table[S]."""
     order = []
     s = (1 << n) - 1
     while s:

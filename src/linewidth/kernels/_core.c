@@ -1,11 +1,12 @@
-/* Compiled subset-DP kernels; see _pure.py for the recurrences.
+/* Compiled subset-DP kernels; _pure.py states the recurrence
+t[S] = min over v in S of max(t[S-v], c(S, v)) and each kernel's cost.
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
 loops follow _pure.py line for line and the tables must agree with it
-exactly; the test suite cross-checks the two backends.  Every width and
-congestion of a 25-vertex graph is at most its 300 edges, so a 16-bit cell
-holds every entry.
+exactly; the test suite cross-checks the two backends.  Every width,
+congestion and cut size of a 25-vertex graph is at most its 300 edges, so
+a 16-bit cell holds every entry.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -34,40 +35,25 @@ bit_count(u64 x)
     return __builtin_popcountll(x);
 }
 
-/* elimination_reach_count in _pure.py */
+/* component_reach in _pure.py: the component of v in G[s] goes to *comp,
+   and the number of vertices outside s adjacent to it is returned. */
 static inline int
-elimination_reach_count(const u64 *adj, u64 t, int v)
+component_reach(const u64 *adj, u64 s, int v, u64 *comp)
 {
-    u64 bit = (u64)1 << v;
-    u64 comp = bit;
-    u64 reach = adj[v];
-    u64 frontier = adj[v] & t;
+    u64 found = 0, seen = 0, frontier = (u64)1 << v;
     while (frontier) {
-        comp |= frontier;
+        found |= frontier;
         u64 grown = 0;
         while (frontier) {
             u64 low = frontier & -frontier;
             frontier ^= low;
             grown |= adj[bit_index(low)];
         }
-        reach |= grown;
-        frontier = grown & t & ~comp;
+        seen |= grown;
+        frontier = grown & s & ~found;
     }
-    return bit_count(reach & ~t & ~bit);
-}
-
-/* cross_size in _pure.py */
-static inline int
-cross_size(const u64 *adj, u64 s)
-{
-    int count = 0;
-    u64 rest = s;
-    while (rest) {
-        u64 low = rest & -rest;
-        rest ^= low;
-        count += bit_count(adj[bit_index(low)] & ~s);
-    }
-    return count;
+    *comp = found;
+    return bit_count(seen & ~s);
 }
 
 static void
@@ -77,13 +63,18 @@ fill_treewidth(const u64 *adj, int n, cell *table)
         int best = BIG;
         u64 rest = s;
         while (rest) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int v = bit_index(low);
-            u64 t = s ^ low;
-            int q = elimination_reach_count(adj, t, v);
-            int prev = table[t];
-            int cand = prev > q ? prev : q;
+            u64 comp;
+            int reach = component_reach(adj, s, bit_index(rest & -rest), &comp);
+            rest &= ~comp;
+            int prior = BIG;
+            while (comp) {
+                u64 low = comp & -comp;
+                comp ^= low;
+                int prev = table[s ^ low];
+                if (prev < prior)
+                    prior = prev;
+            }
+            int cand = prior > reach ? prior : reach;
             if (cand < best)
                 best = cand;
         }
@@ -111,39 +102,53 @@ fill_vertex_separation(const u64 *adj, int n, cell *table)
     }
 }
 
+/* _cut_size_table in _pure.py, written into the output table */
+static void
+fill_cut_sizes(const u64 *adj, int n, cell *table)
+{
+    for (u64 s = 1; s < (u64)1 << n; s++) {
+        u64 low = s & -s;
+        u64 nb = adj[bit_index(low)];
+        table[s] = (cell)(table[s ^ low] + bit_count(nb) - 2 * bit_count(nb & s));
+    }
+}
+
 static void
 fill_cutwidth(const u64 *adj, int n, cell *table)
 {
+    fill_cut_sizes(adj, n, table);
     for (u64 s = 1; s < (u64)1 << n; s++) {
+        int cut = table[s];
         int best = BIG;
-        int cross = 0;
         u64 rest = s;
-        while (rest) {
+        /* once some t[S-v] <= cut(S), t[S] = cut(S) */
+        while (rest && best > cut) {
             u64 low = rest & -rest;
             rest ^= low;
-            cross += bit_count(adj[bit_index(low)] & ~s);
             int prev = table[s ^ low];
             if (prev < best)
                 best = prev;
         }
-        table[s] = (cell)(best > cross ? best : cross);
+        table[s] = (cell)(best > cut ? best : cut);
     }
 }
 
 static void
 fill_path_congestion(const u64 *adj, int n, cell *table)
 {
+    fill_cut_sizes(adj, n, table);
     for (u64 s = 1; s < (u64)1 << n; s++) {
-        int cross = cross_size(adj, s);
+        int cut = table[s];
         int best = BIG;
         u64 rest = s;
         while (rest) {
             u64 low = rest & -rest;
             rest ^= low;
-            int u = bit_index(low);
-            int at_u = cross + bit_count(adj[u] & s);
             int prev = table[s ^ low];
-            int cand = prev > at_u ? prev : at_u;
+            if (prev >= best)
+                continue;
+            int at_v = cut + bit_count(adj[bit_index(low)] & s);
+            int cand = prev > at_v ? prev : at_v;
             if (cand < best)
                 best = cand;
         }

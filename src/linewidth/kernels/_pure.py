@@ -1,30 +1,26 @@
 """Pure-Python subset-DP kernels over bitmask adjacency.
 
-Each kernel takes ``masks``, a list where ``masks[i]`` is the neighbour
-bitmask of vertex i (bit j set iff i~j), and fills a table indexed by
-vertex subsets S in 0..2^n-1:
+Each kernel takes ``masks`` (``masks[i]`` is the neighbour bitmask of
+vertex i) and fills, for every vertex subset S in 0..2^n-1, the table of
 
-* ``treewidth_table``: tw over elimination orderings.
-  t[S] = min over v in S of max(t[S-v], q(S-v, v)) where q(T, v) counts the
-  vertices outside T+{v} reachable from v through T.  q is the degree of v
-  at the moment it is eliminated after T.  t[full] is the treewidth.
+    t[S] = min over v in S of max(t[S-v], c(S, v)),
 
-* ``vertex_separation_table``: pathwidth as vertex separation.
-  t[S] = max(border(S), min over v in S of t[S-v]) where border(S) counts
-  vertices of S with a neighbour outside S.  t[full] is the pathwidth.
+where S is placed (or eliminated) first and v last in S; t[full] is the
+answer.  No kernel recomputes its cost c for each pair (S, v):
 
-* ``cutwidth_table``: same shape with border replaced by cross(S), the
-  number of edges leaving S.  t[full] is the cutwidth.
+* ``treewidth_table``: c(S, v) is the degree of v when eliminated after
+  S-v.  Every v in a component C of G[S] sees exactly N(C) - S, so c is one
+  ``component_reach`` per component.  t[full] is the treewidth.
+* ``vertex_separation_table``: c(S) is the number of vertices of S with a
+  neighbour outside S, counted inline.  t[full] is the pathwidth.
+* ``cutwidth_table``: c(S) = cut(S), the number of edges leaving S.
+* ``path_congestion_table``: c(S, v) = cut(S) + |N(v) & S|, the edges
+  covering position |S| with v there.  t[full] is pw(L(G)) + 1 for the
+  graph restricted to the placed vertices.
 
-* ``path_congestion_table``: minimum over vertex orderings of the largest
-  number of edges vw whose endpoint positions satisfy pos(v) <= i <= pos(w)
-  for some position i.  With S the set placed first and u last in S, the
-  count at position |S| is cross(S) + |N(u) & S|, hence
-  t[S] = min over u in S of max(t[S-u], cross(S) + |N(u) & S|).
-  t[full] equals pw(L(G)) + 1 for the graph restricted to placed vertices.
-
-The compiled kernels in ``_core`` mirror these exactly; results must agree
-bit for bit.
+The last two first fill the table with cut(S) = cut(S-u) + deg u -
+2|N(u) & S|, u the lowest vertex of S, and overwrite it in place.
+``_core`` mirrors these kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -41,13 +37,12 @@ def _check(masks) -> int:
     return n
 
 
-def elimination_reach_count(masks, t: int, v: int) -> int:
-    """Degree of v when eliminated right after the set t: the number of
-    vertices outside t+{v} joined to v by a path with interior inside t."""
-    bit = 1 << v
-    comp = bit
-    reach = masks[v]
-    frontier = masks[v] & t
+def component_reach(masks, s: int, v: int) -> tuple[int, int]:
+    """The component C of v in G[s] as a bitmask, and |N(C) - s|: the
+    degree of v, or of any vertex of C, when eliminated after s minus it."""
+    comp = 0
+    seen = 0
+    frontier = 1 << v
     while frontier:
         comp |= frontier
         grown = 0
@@ -55,21 +50,9 @@ def elimination_reach_count(masks, t: int, v: int) -> int:
             low = frontier & -frontier
             frontier ^= low
             grown |= masks[low.bit_length() - 1]
-        reach |= grown
-        frontier = grown & t & ~comp
-    return (reach & ~t & ~bit).bit_count()
-
-
-def border_size(masks, s: int) -> int:
-    """Vertices of s with at least one neighbour outside s."""
-    count = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if masks[low.bit_length() - 1] & ~s:
-            count += 1
-    return count
+        seen |= grown
+        frontier = grown & s & ~comp
+    return comp, (seen & ~s).bit_count()
 
 
 def cross_size(masks, s: int) -> int:
@@ -90,13 +73,16 @@ def treewidth_table(masks):
         best = _BIG
         rest = s
         while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            t = s ^ low
-            q = elimination_reach_count(masks, t, v)
-            prev = table[t]
-            cand = prev if prev > q else q
+            comp, reach = component_reach(masks, s, (rest & -rest).bit_length() - 1)
+            rest &= ~comp
+            prior = _BIG
+            while comp:
+                low = comp & -comp
+                comp ^= low
+                prev = table[s ^ low]
+                if prev < prior:
+                    prior = prev
+            cand = prior if prior > reach else reach
             if cand < best:
                 best = cand
         table[s] = best
@@ -122,38 +108,48 @@ def vertex_separation_table(masks):
     return table
 
 
-def cutwidth_table(masks):
+def _cut_size_table(masks):
+    """table[S] = cut(S) for every subset S, from cut(S - lowest vertex)."""
     n = _check(masks)
+    degree = [m.bit_count() for m in masks]
     table = [0] * (1 << n)
     for s in range(1, 1 << n):
+        low = s & -s
+        u = low.bit_length() - 1
+        table[s] = table[s ^ low] + degree[u] - 2 * (masks[u] & s).bit_count()
+    return table
+
+
+def cutwidth_table(masks):
+    table = _cut_size_table(masks)
+    for s in range(1, len(table)):
+        cut = table[s]
         best = _BIG
-        cross = 0
         rest = s
-        while rest:
+        while rest and best > cut:  # once some t[S-v] <= cut(S), t[S] is cut(S)
             low = rest & -rest
             rest ^= low
-            cross += (masks[low.bit_length() - 1] & ~s).bit_count()
             prev = table[s ^ low]
             if prev < best:
                 best = prev
-        table[s] = best if best > cross else cross
+        table[s] = best if best > cut else cut
     return table
 
 
 def path_congestion_table(masks):
-    n = _check(masks)
-    table = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        cross = cross_size(masks, s)
+    table = _cut_size_table(masks)
+    for s in range(1, len(table)):
+        cut = table[s]
         best = _BIG
         rest = s
         while rest:
             low = rest & -rest
             rest ^= low
-            u = low.bit_length() - 1
-            at_u = cross + (masks[u] & s).bit_count()
             prev = table[s ^ low]
-            cand = prev if prev > at_u else at_u
+            if prev >= best:
+                continue
+            at_v = cut + (masks[low.bit_length() - 1] & s).bit_count()
+            cand = prev if prev > at_v else at_v
             if cand < best:
                 best = cand
         table[s] = best

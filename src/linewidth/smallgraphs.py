@@ -50,29 +50,25 @@ def connected_graphs(n: int) -> list[Graph]:
     return [g for _, _, g in sorted(found, key=lambda t: t[:2])]
 
 
-def exhaustive_suite(max_n: int = 5, min_n: int = 2) -> list[Graph]:
+def exhaustive_suite(max_n: int = 5) -> list[Graph]:
     out = []
-    for n in range(min_n, max_n + 1):
+    for n in range(2, max_n + 1):
         out.extend(connected_graphs(n))
     return out
 
 
-def random_graph(
-    rng: random.Random, max_vertices: int = 8, max_edges: int = 10
-) -> Graph:
-    """Uniformish small graph with at least one edge; may be disconnected
-    and may contain isolated vertices."""
-    n = rng.randint(2, max_vertices)
+def random_graph(rng: random.Random) -> Graph:
+    """Uniformish graph with 2..8 vertices and 1..10 edges; may be
+    disconnected and may contain isolated vertices."""
+    n = rng.randint(2, 8)
     pairs = list(combinations(range(1, n + 1), 2))
-    m = rng.randint(1, min(max_edges, len(pairs)))
+    m = rng.randint(1, min(10, len(pairs)))
     return Graph(n, rng.sample(pairs, m))
 
 
-def random_suite(
-    count: int = 100, seed: int = 2024, max_vertices: int = 8, max_edges: int = 10
-) -> list[Graph]:
+def random_suite(count: int = 100, seed: int = 2024) -> list[Graph]:
     rng = random.Random(seed)
-    return [random_graph(rng, max_vertices, max_edges) for _ in range(count)]
+    return [random_graph(rng) for _ in range(count)]
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

@@ -51,9 +51,9 @@ def rng():
 
 @pytest.fixture(scope="session")
 def compiled_core(tmp_path_factory):
-    """kernels/_core.c built with gcc into a temp dir and loaded on the side,
-    so kernels.BACKEND and sys.modules stay as they are.  Skips, naming what
-    is missing, only without gcc or Python.h."""
+    """kernels/_core.c built with gcc, warnings as errors, into a temp dir
+    and loaded on the side, so kernels.BACKEND and sys.modules stay as they
+    are.  Skips, naming what is missing, only without gcc or Python.h."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found: cannot build kernels/_core.c")
@@ -62,7 +62,7 @@ def compiled_core(tmp_path_factory):
         pytest.skip(f"Python.h not found in {include}: cannot build kernels/_core.c")
     source = Path(kernels.__file__).with_name("_core.c")
     target = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [gcc, "-shared", "-fPIC", "-O2", f"-I{include}"]
+    cmd = [gcc, "-shared", "-fPIC", "-O2", "-Wall", "-Werror", f"-I{include}"]
     subprocess.run(cmd + [str(source), "-o", str(target)], check=True, capture_output=True)
     name = "linewidth.kernels._core"
     saved = sys.modules.get(name)

@@ -5,7 +5,8 @@ binary trees, all pairs of edges) and evaluates candidates with code paths
 separate from the solvers under test: orderings are scored by direct
 interval counting, embeddings by the standalone congestion evaluator and
 decompositions by a depth-first search per element over a line graph
-built by comparing every pair of edges.
+built by comparing every pair of edges.  The subset-DP fills at the end
+are the earlier kernels, which evaluate each cost once per pair (S, v).
 """
 
 from collections import deque
@@ -200,3 +201,135 @@ def validate_via_line_graph(d, g: Graph) -> ValidationReport:
                 False, "edge-coverage", f"adjacent pair {{{u},{v}}} shares no bag"
             )
     return ValidationReport(True)
+
+
+# -- per-(S, v) subset-DP fills -----------------------------------------------
+#
+# The kernels as they were before their costs were shared per subset and
+# per component, kept verbatim: the tables of both backends must equal
+# these, and their cost helpers give the backtracks the earlier orderings.
+
+_BIG = 1 << 30
+
+
+def _check(masks) -> int:
+    return len(masks)
+
+
+def elimination_reach_count(masks, t: int, v: int) -> int:
+    """Degree of v when eliminated right after the set t: the number of
+    vertices outside t+{v} joined to v by a path with interior inside t."""
+    bit = 1 << v
+    comp = bit
+    reach = masks[v]
+    frontier = masks[v] & t
+    while frontier:
+        comp |= frontier
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= masks[low.bit_length() - 1]
+        reach |= grown
+        frontier = grown & t & ~comp
+    return (reach & ~t & ~bit).bit_count()
+
+
+def border_size(masks, s: int) -> int:
+    """Vertices of s with at least one neighbour outside s."""
+    count = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if masks[low.bit_length() - 1] & ~s:
+            count += 1
+    return count
+
+
+def cross_size(masks, s: int) -> int:
+    """Edges with exactly one endpoint in s."""
+    count = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        count += (masks[low.bit_length() - 1] & ~s).bit_count()
+    return count
+
+
+def treewidth_table(masks):
+    n = _check(masks)
+    table = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best = _BIG
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            t = s ^ low
+            q = elimination_reach_count(masks, t, v)
+            prev = table[t]
+            cand = prev if prev > q else q
+            if cand < best:
+                best = cand
+        table[s] = best
+    return table
+
+
+def vertex_separation_table(masks):
+    n = _check(masks)
+    table = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best = _BIG
+        border = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if masks[low.bit_length() - 1] & ~s:
+                border += 1
+            prev = table[s ^ low]
+            if prev < best:
+                best = prev
+        table[s] = best if best > border else border
+    return table
+
+
+def cutwidth_table(masks):
+    n = _check(masks)
+    table = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best = _BIG
+        cross = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cross += (masks[low.bit_length() - 1] & ~s).bit_count()
+            prev = table[s ^ low]
+            if prev < best:
+                best = prev
+        table[s] = best if best > cross else cross
+    return table
+
+
+def path_congestion_table(masks):
+    n = _check(masks)
+    table = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        cross = cross_size(masks, s)
+        best = _BIG
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            at_u = cross + (masks[u] & s).bit_count()
+            prev = table[s ^ low]
+            cand = prev if prev > at_u else at_u
+            if cand < best:
+                best = cand
+        table[s] = best
+    return table

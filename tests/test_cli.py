@@ -127,6 +127,26 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     assert gr.read_bytes() == first
 
 
+def test_bounds_past_the_solver_limit_skips_what_needs_exact_widths(tmp_path, capsys):
+    gr = tmp_path / "c21.gr"
+    run(["gen", "cycle-power", "21", "2", "-o", gr], capsys)
+    code, out, err = run(["bounds", gr], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["bound min-degree lower tw(L) 7", "bound star-clique lower tw(L) 3"]
+    skipped = [line.split(":")[0].split()[-1] for line in lines[2:]]
+    assert all(line.startswith("note skipped ") for line in lines[2:])
+    assert skipped == [
+        "avg-degree", "endpoint-halving", "incident-expansion-tw", "graph-treewidth",
+        "balanced-split-tw", "conjectured-half-expansion", "smaller-upper",
+        "incident-expansion-pw", "balanced-split-pw", "cutwidth", "cutwidth-slack",
+    ]
+    assert lines[-1].endswith(": cutwidth solver: instance size 21 exceeds the limit of 20")
+    code, _, err = run(["bounds", gr, "--exact"], capsys)
+    assert code == 1
+    assert err == "error: treewidth solver: instance size 21 exceeds the limit of 20\n"
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     gr = tmp_path / "big.gr"
     run(["gen", "complete", "12", "-o", gr], capsys)

@@ -3,9 +3,12 @@ import sys
 import pytest
 from hypothesis import example, given
 
+import oracles
 from conftest import graphs
 from linewidth import kernels
-from linewidth.graphs import Graph, _adjacency_masks
+from linewidth.congestion import cutwidth, min_path_congestion
+from linewidth.exact import exact_pathwidth, exact_treewidth
+from linewidth.graphs import Graph, _adjacency_masks, complete_graph, path_graph
 from linewidth.kernels import _pure
 
 KERNELS = (
@@ -44,18 +47,57 @@ def test_kernel_vertex_limit(request, backend):
             getattr(impl, name)([0] * (kernels.MAX_KERNEL_VERTICES + 1))
 
 
+def _earlier_order(name, masks, cost):
+    """The ordering read back from the per-pair fill with its own cost."""
+    return kernels.backtrack(getattr(oracles, name)(masks), len(masks), cost)
+
+
+@given(graphs(min_vertices=0, max_vertices=9))
+@example(Graph(0))
+@example(Graph(9))
+@example(complete_graph(9))
+@example(path_graph(9))
+def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
+    masks = _adjacency_masks(g, g.vertices)
+    for name in KERNELS:
+        expected = getattr(oracles, name)(masks)
+        assert getattr(_pure, name)(masks) == expected
+        assert list(getattr(compiled_core, name)(masks)) == expected
+    if g.n == 0:
+        return
+    order = _earlier_order(
+        "treewidth_table",
+        masks,
+        lambda s, v: oracles.elimination_reach_count(masks, s ^ (1 << v), v),
+    )
+    assert exact_treewidth(g).certificate.ordering == tuple(v + 1 for v in order)
+    order = _earlier_order(
+        "vertex_separation_table", masks, lambda s, v: oracles.border_size(masks, s)
+    )
+    assert exact_pathwidth(g).ordering == tuple(v + 1 for v in order)
+    active = g.non_isolated_vertices()
+    sub = _adjacency_masks(g, active)
+    order = _earlier_order("cutwidth_table", sub, lambda s, v: oracles.cross_size(sub, s))
+    assert cutwidth(g).ordering.order == tuple(active[v] for v in order)
+    if len(active) > 2:
+        order = _earlier_order(
+            "path_congestion_table",
+            sub,
+            lambda s, v: oracles.cross_size(sub, s) + (sub[v] & s).bit_count(),
+        )
+        assert min_path_congestion(g).ordering.order == tuple(active[v] for v in order)
+
+
 def test_elimination_reach_across_eliminated_set():
     # path a-b-c-d as bits 0..3: eliminating b after {c} sees both a and d
     masks = [0b0010, 0b0101, 0b1010, 0b0100]
-    assert _pure.elimination_reach_count(masks, 0b0100, 1) == 2
-    assert _pure.elimination_reach_count(masks, 0, 1) == 2
-    assert _pure.elimination_reach_count(masks, 0, 0) == 1
+    assert _pure.component_reach(masks, 0b0110, 1) == (0b0110, 2)
+    assert _pure.component_reach(masks, 0b0010, 1) == (0b0010, 2)
+    assert _pure.component_reach(masks, 0b0001, 0) == (0b0001, 1)
 
 
 def test_border_and_cross():
     # triangle plus pendant: bits 0,1,2 triangle, bit 3 attached to 2
     masks = [0b0110, 0b0101, 0b1011, 0b0100]
-    assert _pure.border_size(masks, 0b0011) == 2
     assert _pure.cross_size(masks, 0b0011) == 2
-    assert _pure.border_size(masks, 0b0111) == 1
     assert _pure.cross_size(masks, 0b1111) == 0

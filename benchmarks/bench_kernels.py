@@ -18,6 +18,7 @@ KERNELS = (
     "vertex_separation_table",
     "cutwidth_table",
     "path_congestion_table",
+    "tree_congestion_table",
 )
 
 
@@ -51,6 +52,7 @@ def main() -> None:
         "vertex_separation_table": [12, 14, 16] + ([18, 20] if args.full else []),
         "cutwidth_table": [12, 14, 16] + ([18, 20] if args.full else []),
         "path_congestion_table": [12, 14, 16] + ([18, 20] if args.full else []),
+        "tree_congestion_table": [10, 12, 14] + ([16] if args.full else []),
     }
     header = f"{'kernel':<26} {'n':>3} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}"
     print(header)

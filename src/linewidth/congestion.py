@@ -231,14 +231,18 @@ def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
 
 
 class _TreeSearch:
-    """Branch and bound over leaf-labelled trees with internal degree 3.
+    """Depth-first search over leaf-labelled trees with internal degree 3,
+    which min_tree_congestion runs to replay the witness of a known optimum.
 
     Vertices are inserted in a fixed order; every insertion subdivides one
     existing tree edge and hangs the new leaf off the subdivision node.
     Every such tree arises exactly once this way.  Node and edge loads are
     maintained incrementally; they never decrease as the embedding grows, so
-    a partial maximum at or above the incumbent can be pruned.  The tree is
-    held as a parent map rooted at node 1, which tree_path routes over.
+    a partial maximum at or above the incumbent can be pruned.  No ancestor
+    of a leaf of optimal value is pruned while the incumbent is above it, so
+    run(optimum + 1, optimum) stops at the same first optimal leaf as a
+    search started from any higher incumbent.  The tree is held as a parent
+    map rooted at node 1, which tree_path routes over.
     """
 
     def __init__(self, g: Graph, verts):
@@ -340,26 +344,21 @@ def min_tree_congestion(
     """Exact minimum vertex congestion over all leaf embeddings into
     sub-cubic trees.  Trees with all internal degrees equal to 3 suffice:
     degree-2 nodes can be contracted and unused leaves pruned without
-    raising congestion.  The search starts from the best path embedding as
-    the incumbent and stops as soon as the max-degree lower bound is met."""
+    raising congestion.  The value comes from the split DP; the witness is
+    the caterpillar of the best path embedding when that attains it, and
+    otherwise the first optimal embedding of the _TreeSearch order."""
     if g.edge_count == 0:
         raise DomainError("tree congestion is undefined for an edgeless graph")
-    active = g.non_isolated_vertices()
-    m = len(active)
-    kernels.check_limit("tree congestion solver", m, max_vertices)
-    if m == 2:
-        emb = LeafEmbedding((1, 2), [(1, 2)], {active[0]: 1, active[1]: 2})
-        return CongestionCertificate(1, "tree-vertex", embedding=emb)
+    active, masks = _active_masks(g)
+    kernels.check_limit("tree congestion solver", len(active), max_vertices)
+    value = kernels.tree_congestion_table(masks)[-1]
     path_cert = min_path_congestion(g, max_vertices)
-    best_value = path_cert.value
-    best_emb = caterpillar_embedding(path_cert.ordering, g)
-    delta = max(g.degree(v) for v in active)
-    if best_value > delta:
+    if path_cert.value == value:
+        emb = caterpillar_embedding(path_cert.ordering, g)
+    else:
         order = sorted(active, key=lambda v: (-g.degree(v), v))
-        found = _TreeSearch(g, order).run(best_value, delta)
-        if found is not None:
-            best_value, best_emb = found
-    return CongestionCertificate(best_value, "tree-vertex", embedding=best_emb)
+        emb = _TreeSearch(g, order).run(value + 1, value)[1]
+    return CongestionCertificate(value, "tree-vertex", embedding=emb)
 
 
 @dataclass(frozen=True)

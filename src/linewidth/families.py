@@ -214,10 +214,11 @@ class SharpConstruction:
     closed_form_is_upper: bool  # grid-cliques only bounds the width
 
 
-def sharp_embedding(spec: FamilySpec) -> SharpConstruction:
+def sharp_embedding(spec: FamilySpec, graph_file: Graph | None = None) -> SharpConstruction:
     """The stated sharp ordering of a family, rebuilt into a decomposition
     of the line graph: vertex i at path position i for the power families,
-    whole grid groups sharing a position for grid-cliques."""
+    whole grid groups sharing a position for grid-cliques.  A graph read
+    from a file is checked against the family graph this generates."""
     if spec.family in ("path-power", "cycle-power", "cycle-power-matched"):
         n, k = spec.params
         g = generate(spec)
@@ -241,6 +242,8 @@ def sharp_embedding(spec: FamilySpec) -> SharpConstruction:
         closed, is_upper = 4 * n + 4 + (k - 2) * (k * (k + 1) // 2 + 1) - 1, True
     else:
         raise DomainError(f"no sharp construction for family {spec.family!r}")
+    if graph_file is not None and graph_file != g:
+        raise DomainError(f"graph file does not match family '{spec.label()}'")
     dec = positional_line_decomposition(g, positions)
     w = max(len(b) for b in dec.bags) - 1
     if is_upper:

@@ -22,6 +22,7 @@ treewidth_table = _impl.treewidth_table
 vertex_separation_table = _impl.vertex_separation_table
 cutwidth_table = _impl.cutwidth_table
 path_congestion_table = _impl.path_congestion_table
+tree_congestion_table = _impl.tree_congestion_table
 
 # backtrack costs that the table alone does not give, independent of backend
 component_reach = _pure.component_reach

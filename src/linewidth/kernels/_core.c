@@ -1,5 +1,6 @@
-/* Compiled subset-DP kernels; _pure.py states the recurrence
-t[S] = min over v in S of max(t[S-v], c(S, v)) and each kernel's cost.
+/* Compiled subset-DP kernels; _pure.py states the recurrences: the
+ordering recurrence t[S] = min over v in S of max(t[S-v], c(S, v)) with each
+kernel's cost, and the split recurrence of tree congestion.
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
@@ -19,7 +20,8 @@ a 16-bit cell holds every entry.
 typedef uint64_t u64;
 typedef unsigned short cell; /* the item type of array('H') */
 
-typedef void (*fill_fn)(const u64 *adj, int n, cell *table);
+/* returns 0, or -1 with an exception set */
+typedef int (*fill_fn)(const u64 *adj, int n, cell *table);
 
 static PyObject *zero_cell; /* array('H', [0]), repeated into each table */
 
@@ -56,7 +58,7 @@ component_reach(const u64 *adj, u64 s, int v, u64 *comp)
     return bit_count(seen & ~s);
 }
 
-static void
+static int
 fill_treewidth(const u64 *adj, int n, cell *table)
 {
     for (u64 s = 1; s < (u64)1 << n; s++) {
@@ -80,9 +82,10 @@ fill_treewidth(const u64 *adj, int n, cell *table)
         }
         table[s] = (cell)best;
     }
+    return 0;
 }
 
-static void
+static int
 fill_vertex_separation(const u64 *adj, int n, cell *table)
 {
     for (u64 s = 1; s < (u64)1 << n; s++) {
@@ -100,9 +103,10 @@ fill_vertex_separation(const u64 *adj, int n, cell *table)
         }
         table[s] = (cell)(best > border ? best : border);
     }
+    return 0;
 }
 
-/* _cut_size_table in _pure.py, written into the output table */
+/* _cut_size_table in _pure.py */
 static void
 fill_cut_sizes(const u64 *adj, int n, cell *table)
 {
@@ -113,7 +117,7 @@ fill_cut_sizes(const u64 *adj, int n, cell *table)
     }
 }
 
-static void
+static int
 fill_cutwidth(const u64 *adj, int n, cell *table)
 {
     fill_cut_sizes(adj, n, table);
@@ -131,9 +135,10 @@ fill_cutwidth(const u64 *adj, int n, cell *table)
         }
         table[s] = (cell)(best > cut ? best : cut);
     }
+    return 0;
 }
 
-static void
+static int
 fill_path_congestion(const u64 *adj, int n, cell *table)
 {
     fill_cut_sizes(adj, n, table);
@@ -154,6 +159,44 @@ fill_path_congestion(const u64 *adj, int n, cell *table)
         }
         table[s] = (cell)best;
     }
+    return 0;
+}
+
+static int
+fill_tree_congestion(const u64 *adj, int n, cell *table)
+{
+    cell *cut = PyMem_Malloc(sizeof(cell) << n);
+    if (cut == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    cut[0] = 0;
+    fill_cut_sizes(adj, n, cut);
+    for (u64 s = 1; s < (u64)1 << n; s++) {
+        u64 rest = s ^ (s & -s);
+        if (!rest) {
+            table[s] = cut[s]; /* deg v */
+            continue;
+        }
+        int cut_s = cut[s];
+        int best = BIG;
+        /* B = part, A = s - part holds the lowest vertex */
+        for (u64 part = rest; part; part = (part - 1) & rest) {
+            u64 other = s ^ part;
+            int a = table[other], b = table[part];
+            if (a < best && b < best) {
+                int node = (cut[other] + cut[part] + cut_s) >> 1;
+                int cand = a > b ? a : b;
+                if (node > cand)
+                    cand = node;
+                if (cand < best)
+                    best = cand;
+            }
+        }
+        table[s] = (cell)best;
+    }
+    PyMem_Free(cut);
+    return 0;
 }
 
 /* Read the masks sequence into adj; returns n, or -1 with an exception set. */
@@ -196,8 +239,12 @@ run_kernel(PyObject *masks, fill_fn fill)
         Py_DECREF(table);
         return NULL;
     }
-    fill(adj, n, (cell *)view.buf);
+    int failed = fill(adj, n, (cell *)view.buf);
     PyBuffer_Release(&view);
+    if (failed) {
+        Py_DECREF(table);
+        return NULL;
+    }
     return table;
 }
 
@@ -225,6 +272,12 @@ path_congestion_table(PyObject *self, PyObject *masks)
     return run_kernel(masks, fill_path_congestion);
 }
 
+static PyObject *
+tree_congestion_table(PyObject *self, PyObject *masks)
+{
+    return run_kernel(masks, fill_tree_congestion);
+}
+
 static PyMethodDef core_methods[] = {
     {"treewidth_table", treewidth_table, METH_O,
      "treewidth_table(masks) -> array('H'): tw over elimination orderings."},
@@ -234,6 +287,8 @@ static PyMethodDef core_methods[] = {
      "cutwidth_table(masks) -> array('H'): cutwidth over vertex orderings."},
     {"path_congestion_table", path_congestion_table, METH_O,
      "path_congestion_table(masks) -> array('H'): path congestion, pw(L(G)) + 1."},
+    {"tree_congestion_table", tree_congestion_table, METH_O,
+     "tree_congestion_table(masks) -> array('H'): tree congestion, tw(L(G)) + 1."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,12 +1,13 @@
 """Pure-Python subset-DP kernels over bitmask adjacency.
 
 Each kernel takes ``masks`` (``masks[i]`` is the neighbour bitmask of
-vertex i) and fills, for every vertex subset S in 0..2^n-1, the table of
+vertex i) and fills a table over every vertex subset S in 0..2^n-1; t[full]
+is the answer.  The four ordering kernels fill
 
     t[S] = min over v in S of max(t[S-v], c(S, v)),
 
-where S is placed (or eliminated) first and v last in S; t[full] is the
-answer.  No kernel recomputes its cost c for each pair (S, v):
+where S is placed (or eliminated) first and v last in S.  No kernel
+recomputes its cost c for each pair (S, v):
 
 * ``treewidth_table``: c(S, v) is the degree of v when eliminated after
   S-v.  Every v in a component C of G[S] sees exactly N(C) - S, so c is one
@@ -18,9 +19,18 @@ answer.  No kernel recomputes its cost c for each pair (S, v):
   covering position |S| with v there.  t[full] is pw(L(G)) + 1 for the
   graph restricted to the placed vertices.
 
-The last two first fill the table with cut(S) = cut(S-u) + deg u -
-2|N(u) & S|, u the lowest vertex of S, and overwrite it in place.
-``_core`` mirrors these kernels bit for bit.
+``tree_congestion_table`` splits instead of ordering: t[{v}] = deg v and
+
+    t[S] = min over S = A + B of max(t[A], t[B], (cut(A) + cut(B) + cut(S))/2),
+
+A holding the lowest vertex of S.  The last term counts the edges through
+a tree node whose three branches hold A, B and the rest, so t[full] is the
+least vertex congestion of a leaf embedding into a cubic tree, tw(L(G)) + 1
+for the graph restricted to the placed vertices.
+
+The last three first fill a table with cut(S) = cut(S-u) + deg u -
+2|N(u) & S|, u the lowest vertex of S; cutwidth and path congestion
+overwrite it in place.  ``_core`` mirrors these kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -152,5 +162,32 @@ def path_congestion_table(masks):
             cand = prev if prev > at_v else at_v
             if cand < best:
                 best = cand
+        table[s] = best
+    return table
+
+
+def tree_congestion_table(masks):
+    cut = _cut_size_table(masks)
+    table = cut[:]  # the singletons: t[{v}] = cut({v}) = deg v
+    for s in range(1, len(table)):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            continue
+        cut_s = cut[s]
+        best = _BIG
+        part = rest
+        while part:  # B = part, A = s - part holds the lowest vertex
+            other = s ^ part
+            a = table[other]
+            b = table[part]
+            if a < best and b < best:
+                node = (cut[other] + cut[part] + cut_s) >> 1
+                cand = a if a > b else b
+                if node > cand:
+                    cand = node
+                if cand < best:
+                    best = cand
+            part = (part - 1) & rest
         table[s] = best
     return table

@@ -21,6 +21,7 @@ on that reduction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +65,11 @@ def _axis(lo: Fraction, hi: Fraction, resolution: int) -> list[Fraction]:
 
 
 def _grid_minimize(objective, s, resolution, threshold, corner_claims):
+    """Minimum over the feasible points of the (s..1/2)^2 grid plus the
+    feasible corners, ties to the lexicographically least point.  Along a
+    row of fixed a both objectives are strictly concave in b (the -b^2
+    term), so a row's minimum sits at its least or greatest feasible b:
+    only those two are scored, and the rest are only counted."""
     if not 0 < s <= HALF:
         raise DomainError("s must satisfy 0 < s <= 1/2")
     if resolution < 1:
@@ -77,19 +83,27 @@ def _grid_minimize(objective, s, resolution, threshold, corner_claims):
         )
         for (a, b), claim in corner_claims
     )
-    points = {(a, b) for a in _axis(s, HALF, resolution) for b in _axis(s, HALF, resolution)}
-    points.update(c.point for c in corners if c.feasible)
-    best_val, best_pt, feasible = None, None, 0
-    for a, b in sorted(points):
-        if a + b < threshold:
-            continue
-        feasible += 1
-        val = objective(a, b)
-        if best_val is None or val < best_val or (val == best_val and (a, b) < best_pt):
-            best_val, best_pt = val, (a, b)
+    axis = sorted(set(_axis(s, HALF, resolution)))
+    rows = {}  # a -> [least b, greatest b, feasible count]
+    for a in axis:
+        first = bisect_left(axis, threshold - a)
+        if first < len(axis):
+            rows[a] = [axis[first], axis[-1], len(axis) - first]
+    on_axis = set(axis)
+    for a, b in {c.point for c in corners if c.feasible}:
+        if a in on_axis and b in on_axis:
+            continue  # a feasible grid point, counted above
+        row = rows.setdefault(a, [b, b, 0])
+        row[0], row[1], row[2] = min(row[0], b), max(row[1], b), row[2] + 1
+    best_val, best_pt = None, None
+    for a, (least, greatest, _) in rows.items():
+        for b in (least, greatest):
+            val = objective(a, b)
+            if best_val is None or val < best_val or (val == best_val and (a, b) < best_pt):
+                best_val, best_pt = val, (a, b)
     if best_val is None:
         raise DomainError("no feasible grid points for these parameters")
-    return best_val, best_pt, corners, feasible
+    return best_val, best_pt, corners, sum(row[2] for row in rows.values())
 
 
 def min_balanced_split(s, resolution: int = 32) -> GridSearchResult:

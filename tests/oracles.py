@@ -6,7 +6,11 @@ separate from the solvers under test: orderings are scored by direct
 interval counting, embeddings by the standalone congestion evaluator and
 decompositions by a depth-first search per element over a line graph
 built by comparing every pair of edges.  The subset-DP fills at the end
-are the earlier kernels, which evaluate each cost once per pair (S, v).
+are the earlier kernels, which evaluate each cost once per pair (S, v),
+and a tree-congestion fill that recounts every cut for each split.  The
+tree-congestion solver and the appendix grid search are the earlier
+versions too: a branch and bound from the path incumbent, and a scan of
+every grid point.
 """
 
 from collections import deque
@@ -15,12 +19,16 @@ from itertools import combinations, permutations
 from linewidth.congestion import (
     LeafEmbedding,
     LinearOrdering,
+    _TreeSearch,
+    caterpillar_embedding,
+    min_path_congestion,
     ordering_cutwidth,
     ordering_vertex_congestion,
     vertex_congestion,
 )
 from linewidth.decompositions import SUBJECT_GRAPH, PathDecomposition, ValidationReport
 from linewidth.graphs import DomainError, Graph
+from linewidth.optcheck import HALF, CornerCheck, _axis
 
 
 def eliminate(g: Graph, order) -> int:
@@ -116,6 +124,23 @@ def brute_tree_congestion(g: Graph) -> int:
         if best is None or value < best:
             best = value
     return best
+
+
+def tree_congestion_by_search(g: Graph) -> tuple[int, LeafEmbedding]:
+    """Tree congestion and its witness as found before the split DP: the
+    caterpillar of the best path embedding is the incumbent, and the branch
+    and bound searches below it down to the max-degree bound."""
+    active = g.non_isolated_vertices()
+    if len(active) == 2:
+        return 1, LeafEmbedding((1, 2), [(1, 2)], {active[0]: 1, active[1]: 2})
+    path_cert = min_path_congestion(g)
+    delta = max(g.degree(v) for v in active)
+    if path_cert.value > delta:
+        order = sorted(active, key=lambda v: (-g.degree(v), v))
+        found = _TreeSearch(g, order).run(path_cert.value, delta)
+        if found is not None:
+            return found
+    return path_cert.value, caterpillar_embedding(path_cert.ordering, g)
 
 
 def bfs_tree_path(adj, a: int, b: int) -> list[int]:
@@ -333,3 +358,57 @@ def path_congestion_table(masks):
                 best = cand
         table[s] = best
     return table
+
+
+# The split recurrence of tree congestion, every cut recounted with cross_size.
+def tree_congestion_table(masks):
+    n = _check(masks)
+    table = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            table[s] = cross_size(masks, s)
+            continue
+        best = _BIG
+        part = rest
+        while part:  # one split per part, the lowest vertex staying with s - part
+            other = s ^ part
+            node = (cross_size(masks, other) + cross_size(masks, part) + cross_size(masks, s)) // 2
+            best = min(best, max(table[other], table[part], node))
+            part = (part - 1) & rest
+        table[s] = best
+    return table
+
+
+# -- appendix grid search -----------------------------------------------------
+
+
+def grid_minimize(objective, s, resolution, threshold, corner_claims):
+    """optcheck._grid_minimize as it was: every grid point scored."""
+    if not 0 < s <= HALF:
+        raise DomainError("s must satisfy 0 < s <= 1/2")
+    if resolution < 1:
+        raise DomainError("resolution must be positive")
+    corners = tuple(
+        CornerCheck(
+            (a, b),
+            objective(a, b),
+            claim,
+            s <= a <= HALF and s <= b <= HALF and a + b >= threshold,
+        )
+        for (a, b), claim in corner_claims
+    )
+    points = {(a, b) for a in _axis(s, HALF, resolution) for b in _axis(s, HALF, resolution)}
+    points.update(c.point for c in corners if c.feasible)
+    best_val, best_pt, feasible = None, None, 0
+    for a, b in sorted(points):
+        if a + b < threshold:
+            continue
+        feasible += 1
+        val = objective(a, b)
+        if best_val is None or val < best_val or (val == best_val and (a, b) < best_pt):
+            best_val, best_pt = val, (a, b)
+    if best_val is None:
+        raise DomainError("no feasible grid points for these parameters")
+    return best_val, best_pt, corners, feasible

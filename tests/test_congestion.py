@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import graphs
 from linewidth.congestion import (
@@ -7,6 +9,7 @@ from linewidth.congestion import (
     LeafEmbedding,
     caterpillar_embedding,
     cutwidth,
+    format_emb,
     golovach_check,
     min_path_congestion,
     min_tree_congestion,
@@ -28,7 +31,12 @@ from oracles import (
     brute_path_congestion,
     brute_tree_congestion,
     subdivide_embedding,
+    tree_congestion_by_search,
 )
+
+# triangle 1-2-3 with a pendant edge at each corner: tree congestion 3, but
+# every path embedding carries more, so its witness comes from the replay
+NET = Graph(6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
 
 
 def test_vertex_congestion_triangle_on_star_tree():
@@ -115,6 +123,32 @@ def test_golovach_examples():
 @given(graphs(min_vertices=2, max_vertices=5, min_edges=1))
 def test_tree_congestion_matches_brute_force(g):
     assert min_tree_congestion(g).value == brute_tree_congestion(g)
+
+
+def assert_witness_of_the_search(g):
+    value, emb = tree_congestion_by_search(g)
+    cert = min_tree_congestion(g)
+    assert cert.value == value
+    assert format_emb(cert.embedding, g) == format_emb(emb, g)
+
+
+def test_net_witness_comes_from_the_replay():
+    assert min_tree_congestion(NET).value == 3 < min_path_congestion(NET).value
+
+
+@given(graphs(min_vertices=2, max_vertices=8, min_edges=1))
+@example(NET)
+def test_tree_congestion_witness_equals_branch_and_bound(g):
+    assert_witness_of_the_search(g)
+
+
+def test_tree_congestion_witness_on_every_labelled_graph_up_to_5_vertices():
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for chosen in range(1, 1 << len(pairs)):
+            assert_witness_of_the_search(
+                Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            )
 
 
 @given(graphs(min_vertices=2, max_vertices=6, min_edges=1))

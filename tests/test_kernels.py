@@ -16,6 +16,7 @@ KERNELS = (
     "vertex_separation_table",
     "cutwidth_table",
     "path_congestion_table",
+    "tree_congestion_table",
 )
 
 

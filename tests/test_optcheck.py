@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from linewidth import optcheck
 from linewidth.graphs import DomainError
 from linewidth.optcheck import (
     max_grid_partition,
@@ -75,6 +78,24 @@ def test_split_minima_never_undershoot_closed_forms(num, res_pow):
     assert min_balanced_split(s, resolution).gap >= 0
     assert min_degree_split(s, "even", resolution).gap >= 0
     assert min_degree_split(s, "odd", resolution).gap >= 0
+
+
+@given(st.integers(1, 25), st.integers(1, 20))
+def test_grid_minimize_equals_the_full_grid_scan(num, resolution):
+    # scoring only the ends of each row gives the full scan's extremum,
+    # argpoint, corners and feasible count
+    s = min(F(num, 49), F(1, 2))
+    for split in (
+        lambda: min_balanced_split(s, resolution),
+        lambda: min_degree_split(s, "even", resolution),
+        lambda: min_degree_split(s, "odd", resolution),
+    ):
+        result = split()
+        with patch.object(optcheck, "_grid_minimize", oracles.grid_minimize):
+            assert result == split()
+    # an objective falling in b puts every row's minimum at its greatest b
+    args = (lambda a, b: a - b * b, s, resolution, F(1, 2) + s / 2, [((F(1, 2), s), 0)])
+    assert optcheck._grid_minimize(*args) == oracles.grid_minimize(*args)
 
 
 def test_grid_refinement_never_increases_minimum():

@@ -1,6 +1,6 @@
 """Build script.
 
-The four subset-DP kernels have one compiled implementation,
+The five subset-DP kernels have one compiled implementation,
 ``src/linewidth/kernels/_core.c``, written against the CPython C API; it
 needs only a C compiler and the Python headers.  The extension is optional:
 if it cannot be built, installation still succeeds and the package selects

@@ -20,11 +20,11 @@ from linewidth.decompositions import (
     SUBJECT_GRAPH,
     SUBJECT_LINE,
     TreeDecomposition,
+    _require_valid,
     edge_path_bags,
     expand_to_line,
     limit_tree_degree,
     occurrences,
-    validate,
     width,
 )
 from linewidth.exact import exact_pathwidth, exact_treewidth
@@ -144,21 +144,17 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
     When max_degree(g) < width(d) the plain incident expansion is already
     stronger, so that is returned instead, flagged as a fallback.
     """
-    report = validate(d, g)
-    if not report.ok:
-        raise DomainError(f"invalid decomposition: {report.witness}")
+    _require_valid(d, g)
     if d.subject != SUBJECT_GRAPH:
         raise DomainError("input must be a decomposition of the graph itself")
     is_path = isinstance(d, PathDecomposition)
     k1 = width(d)  # k - 1
     delta = g.max_degree()
+    closed = (
+        balanced_split_bound_path(k1, delta) if is_path else balanced_split_bound_tree(k1, delta)
+    )
     if delta < k1:
         expanded = expand_to_line(d, g)
-        closed = (
-            balanced_split_bound_path(k1, delta)
-            if is_path
-            else balanced_split_bound_tree(k1, delta)
-        )
         return ImprovedConstruction(expanded, width(expanded), True, closed)
     td = d.as_tree() if is_path else limit_tree_degree(d)
     adj = td.adjacency()
@@ -218,11 +214,6 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
         adj[par].add(prev)
         parent[prev] = par
     bags = edge_path_bags(parent, base, g)
-    closed = (
-        balanced_split_bound_path(k1, delta)
-        if is_path
-        else balanced_split_bound_tree(k1, delta)
-    )
     if is_path:
         # subdivisions only add inner nodes, so the path still runs from
         # node 1 to the last node of d

@@ -123,7 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="what", required=True)
     pa = vsub.add_parser("appendix", help="exact-rational grid checks of the bound constants")
     pa.add_argument("which", choices=("a", "b", "c"))
-    pa.add_argument("--s", default="1/10", help="parameter s as a fraction, e.g. 1/10")
+    pa.add_argument(
+        "--s", type=_fraction, default="1/10", help="parameter s as a fraction, e.g. 1/10"
+    )
     pa.add_argument("--parity", choices=("even", "odd"), default="even")
     pa.add_argument("--resolution", type=int, default=None)
     pa.add_argument("--mode", choices=("fast", "full"), default="fast")
@@ -135,6 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_verify_theorems)
 
     return parser
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
 def _witness_path(args, suffix: str) -> Path:
@@ -310,11 +319,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
-    s = Fraction(args.s)
     if args.which == "a":
-        res = min_balanced_split(s, args.resolution or 32)
+        res = min_balanced_split(args.s, args.resolution or 32)
     elif args.which == "b":
-        res = min_degree_split(s, args.parity, args.resolution or 32)
+        res = min_degree_split(args.s, args.parity, args.resolution or 32)
     else:
         res = max_grid_partition(args.resolution or 8, args.mode)
     print(f"{res.kind} {format_value(res.extremum)}")

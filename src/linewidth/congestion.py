@@ -122,10 +122,6 @@ class CongestionCertificate:
     embedding: LeafEmbedding | None = None
     ordering: LinearOrdering | None = None
 
-    @property
-    def witness(self):
-        return self.embedding if self.embedding is not None else self.ordering
-
     def reevaluate(self, g: Graph) -> int:
         if self.kind == "tree-vertex":
             return vertex_congestion(self.embedding, g)[0]
@@ -206,8 +202,6 @@ def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCerti
     active, masks = _active_masks(g)
     m = len(active)
     kernels.check_limit("cutwidth solver", m, max_vertices)
-    if m == 0:
-        return CongestionCertificate(0, "path-edge", ordering=LinearOrdering(()))
     table = kernels.cutwidth_table(masks)
     order = kernels.backtrack(table, m, lambda s, u: table[s])
     ordering = LinearOrdering(active[u] for u in order)

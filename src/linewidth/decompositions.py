@@ -301,8 +301,6 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     while pruned:
         pruned = False
         for node in sorted(adj):
-            if len(adj) == 1:
-                break
             if len(adj[node]) <= 1 and node not in base_nodes:
                 for nb in adj[node]:
                     adj[nb].discard(node)

@@ -3,8 +3,9 @@
 Treewidth is computed by subset dynamic programming over elimination
 orderings; pathwidth by the vertex-separation subset DP.  Both emit
 decompositions of exactly the reported width so the results can be checked
-by the decomposition validator, and the treewidth solver additionally
-returns its elimination ordering as a replayable certificate.
+by the decomposition validator.  The treewidth solver also returns its
+elimination ordering as a replayable certificate; one elimination game
+gives both the replayed width and the bags of the decomposition.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from linewidth import kernels
-from linewidth.decompositions import (
-    PathDecomposition,
-    SUBJECT_GRAPH,
-    TreeDecomposition,
-)
+from linewidth.decompositions import SUBJECT_GRAPH, PathDecomposition, TreeDecomposition
 from linewidth.graphs import DomainError, Graph, _adjacency_masks
 
 SOLVER_LIMIT = 20
@@ -30,18 +27,22 @@ class EliminationCertificate:
     width: int
 
     def simulate(self, g: Graph) -> int:
-        """Replay the elimination: connect each vertex's remaining
-        neighbours into a clique, record the largest neighbourhood."""
-        adj = {v: set(g.neighbors(v)) for v in g.vertices}
-        worst = 0
-        for v in self.ordering:
-            nb = adj[v]
-            worst = max(worst, len(nb))
-            for a in nb:
-                adj[a].discard(v)
-                adj[a].update(nb - {a})
-            del adj[v]
-        return worst
+        """Replay the elimination and return the largest bag minus one."""
+        return max(map(len, _elimination_bags(g, self.ordering)), default=1) - 1
+
+
+def _elimination_bags(g: Graph, ordering) -> list[frozenset[int]]:
+    """The bag {v} | N(v) of each vertex v in elimination order, taken just
+    before v is eliminated and its remaining neighbours joined in a clique."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    bags = []
+    for v in ordering:
+        nb = adj.pop(v)
+        bags.append(frozenset(nb | {v}))
+        for a in nb:
+            adj[a].discard(v)
+            adj[a].update(nb - {a})
+    return bags
 
 
 @dataclass(frozen=True)
@@ -71,53 +72,27 @@ def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResu
     tw = table[-1]
     order = kernels.backtrack(table, g.n, lambda s, v: kernels.component_reach(masks, s, v)[1])
     ordering = tuple(v + 1 for v in order)
-    cert = EliminationCertificate(ordering, tw)
-    if cert.simulate(g) != tw:  # internal consistency; never expected
+    bags = _elimination_bags(g, ordering)
+    if max(map(len, bags)) - 1 != tw:  # internal consistency; never expected
         raise DomainError("elimination replay disagrees with the DP table")
-    return TreewidthResult(tw, cert, _decomposition_from_elimination(g, ordering))
+    cert = EliminationCertificate(ordering, tw)
+    return TreewidthResult(tw, cert, _decomposition_from_elimination(ordering, bags))
 
 
-def _decomposition_from_elimination(g: Graph, ordering) -> TreeDecomposition:
-    """Standard fill-in construction: the bag of v is v plus its neighbours
-    at elimination time; v's bag hangs off the bag of its earliest-eliminated
-    fill neighbour.  Bags contained in their parent are contracted away."""
-    pos = {v: i for i, v in enumerate(ordering)}
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    raw_bags: dict[int, frozenset[int]] = {}
-    for v in ordering:
-        nb = adj[v]
-        raw_bags[v] = frozenset(nb | {v})
-        for a in nb:
-            adj[a].discard(v)
-            adj[a].update(nb - {a})
-        del adj[v]
-    root = ordering[-1]
-    parent: dict[int, int] = {}
-    for v in ordering[:-1]:
-        later = [w for w in raw_bags[v] if w != v]
-        parent[v] = min(later, key=lambda w: pos[w]) if later else root
-    # contract bags that are subsets of their parent's bag
-    alive = dict(raw_bags)
-    anchor = dict(parent)
-    for v in ordering[:-1]:
-        p = anchor[v]
-        while p not in alive:
-            p = anchor[p]
-        if alive[v] <= alive[p]:
-            del alive[v]
-        else:
-            anchor[v] = p
-    remap = {v: i for i, v in enumerate(sorted(alive, key=lambda w: pos[w]), start=1)}
-    edges = []
-    for v in alive:
-        if v == root:
-            continue
-        p = anchor[v]
-        while p not in alive:
-            p = anchor[p]
-        edges.append((remap[v], remap[p]))
-    bags = {remap[v]: alive[v] for v in alive}
-    return TreeDecomposition(remap.values(), edges, bags, SUBJECT_GRAPH)
+def _decomposition_from_elimination(ordering, bags) -> TreeDecomposition:
+    """Fill-in construction: node i holds the bag of the i-th eliminated
+    vertex and hangs off the node of its earliest-eliminated later
+    neighbour, or off the last node when it has none.  No bag is contained
+    in its parent's, which is taken after the vertex is gone."""
+    pos = {v: i for i, v in enumerate(ordering, start=1)}
+    last = len(ordering)
+    # a node's one higher neighbour is its parent: .td edge lines are (i, parent) by i
+    edges = [
+        (i, min((pos[w] for w in bag if pos[w] != i), default=last))
+        for i, bag in enumerate(bags[:-1], start=1)
+    ]
+    nodes = range(1, last + 1)
+    return TreeDecomposition(nodes, edges, dict(zip(nodes, bags)), SUBJECT_GRAPH)
 
 
 def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResult:
@@ -126,7 +101,8 @@ def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResu
     pw = table[-1]
     order_bits = kernels.backtrack(table, g.n, lambda s, v: table[s])
     ordering = tuple(b + 1 for b in order_bits)
-    # bag i = v_i plus the prefix vertices that still have later neighbours
+    # bag i = v_i plus the prefix vertices that still have later neighbours;
+    # no earlier bag holds v_i, so a bag is only ever dropped for a later one
     bags: list[frozenset[int]] = []
     prefix = 0
     for b in order_bits:
@@ -144,8 +120,6 @@ def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResu
     for bag in bags:
         while cleaned and cleaned[-1] <= bag:
             cleaned.pop()
-        if cleaned and bag <= cleaned[-1]:
-            continue
         cleaned.append(bag)
     dec = PathDecomposition(cleaned, SUBJECT_GRAPH)
     return PathwidthResult(pw, dec, ordering)

@@ -1,21 +1,18 @@
 """End-to-end verification run over the exhaustive and random small-graph
 suites: the two congestion/width equalities, the cutwidth sandwich, and the
-bound sandwich with the constructive upper bounds."""
+bound sandwich with the constructive upper bounds.  Each graph is visited
+once: its line graph is built and solved exactly once, and every check
+reads those two widths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from linewidth.bounds import (
-    TARGET_PW,
-    TARGET_TW,
-    bounds_report,
-    improved_upper_construction,
-)
+from linewidth.bounds import TARGET_PW, TARGET_TW, bounds_report, improved_upper_construction
 from linewidth.congestion import golovach_check, min_path_congestion, min_tree_congestion
-from linewidth.decompositions import validate, width
+from linewidth.decompositions import validate
 from linewidth.exact import exact_pathwidth, exact_treewidth
-from linewidth.graphs import Graph, line_graph, star_graph
+from linewidth.graphs import DomainError, Graph, line_graph, star_graph
 from linewidth.smallgraphs import exhaustive_suite, random_suite
 
 
@@ -40,105 +37,55 @@ def run_theorem_checks(
     max_n: int = 5, random_count: int = 100, seed: int = 2024
 ) -> list[CheckLine]:
     graphs = _suite(max_n, random_count, seed)
-    lines: list[CheckLine] = []
-
-    failures = []
-    for i, g in enumerate(graphs):
-        lg, _ = line_graph(g)
-        if min_tree_congestion(g).value != exact_treewidth(lg).width + 1:
-            failures.append(i)
-    lines.append(
-        CheckLine(
-            "tree-congestion-equals-line-treewidth",
-            not failures,
-            f"{len(graphs)} graphs" + (f", failed at {failures}" if failures else ""),
-        )
-    )
-
-    failures = []
-    for i, g in enumerate(graphs):
-        lg, _ = line_graph(g)
-        if min_path_congestion(g).value != exact_pathwidth(lg).width + 1:
-            failures.append(i)
-    lines.append(
-        CheckLine(
-            "path-congestion-equals-line-pathwidth",
-            not failures,
-            f"{len(graphs)} graphs" + (f", failed at {failures}" if failures else ""),
-        )
-    )
-
-    failures = []
+    tree_failures, path_failures, cut_failures, bound_failures = [], [], [], []
     applicable = 0
     for i, g in enumerate(graphs):
-        if g.max_degree() < 2:
-            continue
-        applicable += 1
-        if not golovach_check(g).holds:
-            failures.append(i)
-    lines.append(
-        CheckLine(
-            "cutwidth-sandwich",
-            not failures,
-            f"{applicable} graphs with max degree >= 2"
-            + (f", failed at {failures}" if failures else ""),
-        )
-    )
-
-    star_ok = True
-    for m in range(3, 7):
-        rep = golovach_check(star_graph(m))
-        if rep.cutwidth != rep.lower:
-            star_ok = False
-    lines.append(
-        CheckLine(
+        lg, _ = line_graph(g)
+        tw_line = exact_treewidth(lg).width
+        pw_line = exact_pathwidth(lg).width
+        if min_tree_congestion(g).value != tw_line + 1:
+            tree_failures.append(i)
+        if min_path_congestion(g).value != pw_line + 1:
+            path_failures.append(i)
+        if g.max_degree() >= 2:
+            applicable += 1
+            if not golovach_check(g).holds:
+                cut_failures.append(i)
+        if not _bounds_hold(g, tw_line, pw_line):
+            bound_failures.append(i)
+    stars = {m: golovach_check(star_graph(m)) for m in range(3, 7)}
+    loose_stars = [m for m, rep in stars.items() if rep.cutwidth != rep.lower]
+    counted = f"{len(graphs)} graphs"
+    return [
+        _check_line("tree-congestion-equals-line-treewidth", counted, tree_failures),
+        _check_line("path-congestion-equals-line-pathwidth", counted, path_failures),
+        _check_line("cutwidth-sandwich", f"{applicable} graphs with max degree >= 2", cut_failures),
+        _check_line(
             "cutwidth-sandwich-tight-for-stars",
-            star_ok,
             "stars with 3..6 leaves meet the lower bound",
-        )
-    )
-
-    failures = []
-    for i, g in enumerate(graphs):
-        if not _bounds_hold(g):
-            failures.append(i)
-    lines.append(
-        CheckLine(
-            "bound-sandwich-and-constructions",
-            not failures,
-            f"{len(graphs)} graphs" + (f", failed at {failures}" if failures else ""),
-        )
-    )
-    return lines
+            loose_stars,
+        ),
+        _check_line("bound-sandwich-and-constructions", counted, bound_failures),
+    ]
 
 
-def _bounds_hold(g: Graph) -> bool:
-    report = bounds_report(g, compute_exact=True)
-    tw_line = report.exact[TARGET_TW]
-    pw_line = report.exact[TARGET_PW]
-    for entry in report.lowers(TARGET_TW):
-        if entry.value > tw_line:
-            return False
-    for entry in report.uppers(TARGET_TW):
-        if entry.value < tw_line:
-            return False
-    for entry in report.lowers(TARGET_PW):
-        if entry.value > pw_line:
-            return False
-    for entry in report.uppers(TARGET_PW):
-        if entry.value < pw_line:
-            return False
-    # the balanced-split construction must validate and meet its closed form
-    tw_dec = exact_treewidth(g).decomposition
-    built = improved_upper_construction(g, tw_dec)
-    if not validate(built.decomposition, g).ok:
+def _check_line(name: str, detail: str, failures: list[int]) -> CheckLine:
+    if failures:
+        detail += f", failed at {failures}"
+    return CheckLine(name, not failures, detail)
+
+
+def _bounds_hold(g: Graph, tw_line: int, pw_line: int) -> bool:
+    """Every bound of g's report holds against the exact line-graph widths,
+    and the balanced-split construction from exact decompositions of g
+    validates and meets its closed form."""
+    report = replace(bounds_report(g), exact={TARGET_TW: tw_line, TARGET_PW: pw_line})
+    try:
+        report.check_consistency()
+    except DomainError:
         return False
-    if built.width > built.closed_form:
-        return False
-    pw_dec = exact_pathwidth(g).decomposition
-    built = improved_upper_construction(g, pw_dec)
-    if not validate(built.decomposition, g).ok:
-        return False
-    if built.width > built.closed_form:
-        return False
+    for solve in (exact_treewidth, exact_pathwidth):
+        built = improved_upper_construction(g, solve(g).decomposition)
+        if not validate(built.decomposition, g).ok or built.width > built.closed_form:
+            return False
     return True

@@ -8,9 +8,10 @@ decompositions by a depth-first search per element over a line graph
 built by comparing every pair of edges.  The subset-DP fills at the end
 are the earlier kernels, which evaluate each cost once per pair (S, v),
 and a tree-congestion fill that recounts every cut for each split.  The
-tree-congestion solver and the appendix grid search are the earlier
-versions too: a branch and bound from the path incumbent, and a scan of
-every grid point.
+tree-congestion solver, the appendix grid search and the fill-in tree
+decomposition are the earlier versions too: a branch and bound from the
+path incumbent, a scan of every grid point, and a second elimination pass
+that contracts bags contained in their parent.
 """
 
 from collections import deque
@@ -26,7 +27,12 @@ from linewidth.congestion import (
     ordering_vertex_congestion,
     vertex_congestion,
 )
-from linewidth.decompositions import SUBJECT_GRAPH, PathDecomposition, ValidationReport
+from linewidth.decompositions import (
+    SUBJECT_GRAPH,
+    PathDecomposition,
+    TreeDecomposition,
+    ValidationReport,
+)
 from linewidth.graphs import DomainError, Graph
 from linewidth.optcheck import HALF, CornerCheck, _axis
 
@@ -43,6 +49,66 @@ def eliminate(g: Graph, order) -> int:
             adj[a].update(nb - {a})
         del adj[v]
     return worst
+
+
+def decomposition_from_elimination(g: Graph, ordering) -> TreeDecomposition:
+    """Fill-in construction: the bag of v is v plus its neighbours at
+    elimination time; v's bag hangs off the bag of its earliest-eliminated
+    fill neighbour.  Bags contained in their parent are contracted away."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    raw_bags: dict[int, frozenset[int]] = {}
+    for v in ordering:
+        nb = adj[v]
+        raw_bags[v] = frozenset(nb | {v})
+        for a in nb:
+            adj[a].discard(v)
+            adj[a].update(nb - {a})
+        del adj[v]
+    root = ordering[-1]
+    parent: dict[int, int] = {}
+    for v in ordering[:-1]:
+        later = [w for w in raw_bags[v] if w != v]
+        parent[v] = min(later, key=lambda w: pos[w]) if later else root
+    alive = dict(raw_bags)
+    anchor = dict(parent)
+    for v in ordering[:-1]:
+        p = anchor[v]
+        while p not in alive:
+            p = anchor[p]
+        if alive[v] <= alive[p]:
+            del alive[v]
+        else:
+            anchor[v] = p
+    remap = {v: i for i, v in enumerate(sorted(alive, key=lambda w: pos[w]), start=1)}
+    edges = []
+    for v in alive:
+        if v == root:
+            continue
+        p = anchor[v]
+        while p not in alive:
+            p = anchor[p]
+        edges.append((remap[v], remap[p]))
+    bags = {remap[v]: alive[v] for v in alive}
+    return TreeDecomposition(remap.values(), edges, bags, SUBJECT_GRAPH)
+
+
+def path_decomposition_from_ordering(g: Graph, ordering) -> PathDecomposition:
+    """Bag i is v_i plus the earlier vertices that still have a neighbour
+    outside the prefix; a bag contained in its neighbour bag is dropped."""
+    placed: set[int] = set()
+    bags = []
+    for v in ordering:
+        bags.append(frozenset({v} | {u for u in placed if g.neighbors(u) - placed}))
+        placed.add(v)
+    cleaned: list[frozenset[int]] = []
+    for bag in bags:
+        while cleaned and cleaned[-1] <= bag:
+            cleaned.pop()
+        if cleaned and bag <= cleaned[-1]:
+            continue
+        cleaned.append(bag)
+    return PathDecomposition(cleaned, SUBJECT_GRAPH)
 
 
 def brute_treewidth(g: Graph) -> int:

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import linewidth
+from linewidth import suite
 from linewidth.cli import main
 
 
@@ -211,6 +213,13 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    for bad in ("abc", "1/0", "nan", " "):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "appendix", "a", "--s", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --s: invalid fraction value" in err
+        assert "Traceback" not in err
 
 
 def test_verify_appendix_cli(capsys):
@@ -233,5 +242,36 @@ def test_verify_theorems_full_suite(capsys):
         ["verify", "theorems", "--max-n", "5", "--random", "100"], capsys
     )
     assert code == 0
-    assert "all checks passed" in out
-    assert out.count("ok  ") == 5
+    assert out == (
+        "ok   tree-congestion-equals-line-treewidth: 130 graphs\n"
+        "ok   path-congestion-equals-line-pathwidth: 130 graphs\n"
+        "ok   cutwidth-sandwich: 101 graphs with max degree >= 2\n"
+        "ok   cutwidth-sandwich-tight-for-stars: stars with 3..6 leaves meet the lower bound\n"
+        "ok   bound-sandwich-and-constructions: 130 graphs\n"
+        "all checks passed\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "solver, check",
+    [
+        ("min_tree_congestion", "tree-congestion-equals-line-treewidth"),
+        ("min_path_congestion", "path-congestion-equals-line-pathwidth"),
+    ],
+)
+def test_verify_theorems_reports_a_failing_graph(monkeypatch, capsys, solver, check):
+    real = getattr(suite, solver)
+    calls = []
+
+    def off_by_one_on_the_third_graph(g):
+        cert = real(g)
+        calls.append(g)
+        return replace(cert, value=cert.value + 1) if len(calls) == 3 else cert
+
+    monkeypatch.setattr(suite, solver, off_by_one_on_the_third_graph)
+    code, out, _ = run(["verify", "theorems", "--max-n", "4", "--random", "0"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert f"FAIL {check}: 9 graphs, failed at [2]" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 1
+    assert lines[-1] == "FAILURES present"

@@ -7,6 +7,7 @@ from conftest import graphs
 from linewidth.congestion import (
     CongestionCertificate,
     LeafEmbedding,
+    LinearOrdering,
     caterpillar_embedding,
     cutwidth,
     format_emb,
@@ -104,7 +105,9 @@ def test_cutwidth_examples():
     assert cutwidth(star_graph(3)).value == 2
     assert cutwidth(path_graph(4)).value == 1
     assert cutwidth(complete_graph(4)).value == 4  # frozen from all 24 orderings
-    assert cutwidth(Graph(3)).value == 0
+    edgeless = cutwidth(Graph(3))
+    assert edgeless.value == 0
+    assert edgeless.ordering == LinearOrdering(())
     with pytest.raises(SolverLimitError):
         cutwidth(complete_graph(6), max_vertices=5)
 

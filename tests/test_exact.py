@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import graphs
-from linewidth.decompositions import validate, width
+from linewidth.decompositions import format_td, validate, width
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.graphs import (
     DomainError,
@@ -14,7 +14,13 @@ from linewidth.graphs import (
     path_graph,
     star_graph,
 )
-from oracles import brute_pathwidth, brute_treewidth, eliminate
+from oracles import (
+    brute_pathwidth,
+    brute_treewidth,
+    decomposition_from_elimination,
+    eliminate,
+    path_decomposition_from_ordering,
+)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -87,3 +93,19 @@ def test_emitted_decompositions_validate_at_reported_width(g):
 @given(graphs(min_vertices=1, max_vertices=7))
 def test_pathwidth_at_least_treewidth(g):
     assert exact_pathwidth(g).width >= exact_treewidth(g).width
+
+
+@given(graphs(min_vertices=1, max_vertices=9))
+@example(Graph(1))
+@example(Graph(5))
+@example(Graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (6, 7)]))
+def test_witnesses_match_the_two_pass_constructions(g):
+    twr = exact_treewidth(g)
+    ordering = twr.certificate.ordering
+    assert sorted(ordering) == list(g.vertices)
+    assert twr.certificate.simulate(g) == eliminate(g, ordering)
+    expected = decomposition_from_elimination(g, ordering)
+    assert format_td(twr.decomposition, g) == format_td(expected, g)
+    pwr = exact_pathwidth(g)
+    expected = path_decomposition_from_ordering(g, pwr.ordering)
+    assert format_td(pwr.decomposition, g) == format_td(expected, g)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import graphs
 from linewidth.congestion import (
@@ -22,6 +23,7 @@ from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.graphs import (
     DomainError,
     FormatError,
+    Graph,
     complete_graph,
     format_gr,
     parse_gr,
@@ -139,3 +141,61 @@ def test_emb_rejects_degree_four(tmp_path):
     g = complete_graph(4)
     with pytest.raises(DomainError, match="degree"):
         e.check(g)
+
+
+_ID = st.integers(-1, 6)
+_PAIRS = st.lists(st.tuples(_ID, _ID), max_size=6)
+_JUNK = st.lists(
+    st.one_of(_ID.map(str), st.sampled_from(["c", "p", "tw", "s", "td", "b", "t", "l", "x"])),
+    max_size=4,
+).map(" ".join)
+
+
+@st.composite
+def _near_format(draw, fmt):
+    """Records of fmt with small, possibly invalid ids, under a header whose
+    counts are usually right, with a junk line or two sometimes mixed in."""
+    slack = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if fmt == "gr":
+        pairs = draw(_PAIRS)
+        lines = [f"p tw {draw(st.integers(0, 6))} {len(pairs) + slack}"]
+        lines += [f"{a} {b}" for a, b in pairs]
+    elif fmt == "td":
+        bags = draw(st.lists(st.sets(_ID, max_size=3), max_size=5))
+        path = [(i, i + 1) for i in range(1, len(bags))]
+        size = max(map(len, bags), default=0) + slack
+        lines = [f"s td {len(bags)} {size} 0"]
+        lines += [" ".join(map(str, ["b", i, *bag])) for i, bag in enumerate(bags, start=1)]
+        lines += [f"{a} {b}" for a, b in draw(st.one_of(st.just(path), _PAIRS))]
+    elif fmt == "emb":
+        tree, leaves = draw(_PAIRS), draw(_PAIRS)
+        nodes = {x for edge in tree for x in edge} | {node for node, _ in leaves}
+        lines = [f"s emb {len(nodes) + slack} 0"]
+        lines += [f"t {a} {b}" for a, b in tree] + [f"l {n} {v}" for n, v in leaves]
+    else:
+        ids = draw(st.lists(_ID, max_size=6))
+        lines = [f"s ord {len(ids) + slack}", " ".join(map(str, ids))]
+    for at, junk in draw(st.lists(st.tuples(st.integers(0, 20), _JUNK), max_size=2)):
+        lines.insert(at, junk)
+    return "\n".join(lines)
+
+
+_FORMATS = {
+    "gr": (parse_gr, format_gr),
+    "td": (parse_td, lambda d: format_td(d, Graph(0))),
+    "emb": (parse_emb, lambda e: format_emb(e, Graph(0))),
+    "ord": (parse_ord, format_ord),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+@given(data=st.data())
+def test_parsers_reject_or_round_trip(fmt, data):
+    text = data.draw(st.one_of(st.text(max_size=80), _near_format(fmt)))
+    parse, write = _FORMATS[fmt]
+    try:
+        parsed = parse(text)
+    except DomainError:  # FormatError included
+        return
+    written = write(parsed)
+    assert write(parse(written)) == written

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled subset-DP kernels against the pure-Python fallback.
 
-Usage:
-  python benchmarks/bench_kernels.py           # quick sizes
-  python benchmarks/bench_kernels.py --full    # up to the solver limits
+Usage, from a checkout (``src`` on the import path, as for the tests):
+  PYTHONPATH=src python benchmarks/bench_kernels.py           # quick sizes
+  PYTHONPATH=src python benchmarks/bench_kernels.py --full    # up to the solver limits
 """
 
 import argparse

@@ -20,28 +20,30 @@ from linewidth.bounds import (
     tree_line_decomposition,
 )
 from linewidth.congestion import (
+    LeafEmbedding,
     cutwidth,
+    format_emb,
+    format_ord,
     min_path_congestion,
     min_tree_congestion,
     read_emb,
     read_ord,
-    write_emb,
-    write_ord,
 )
 from linewidth.decompositions import (
     SUBJECT_GRAPH,
     SUBJECT_LINE,
     as_path_decomposition,
+    expand_to_line,
+    format_td,
     line_to_graph_decomposition,
     normalize_line_decomposition,
     read_td,
     validate,
     width,
-    write_td,
 )
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.families import FAMILY_NAMES, FamilySpec, generate, sharp_embedding
-from linewidth.graphs import DomainError, read_gr, read_text, write_gr
+from linewidth.graphs import DomainError, format_gr, read_gr, read_text, write_text
 from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
 from linewidth.suite import run_theorem_checks
 
@@ -158,28 +160,23 @@ def _cmd_exact(args) -> int:
     q = args.quantity
     if q == "tw":
         res = exact_treewidth(g, **limit)
-        value, witness, suffix = res.width, res.decomposition, "tw.td"
+        value, text, suffix = res.width, format_td(res.decomposition, g), "tw.td"
     elif q == "pw":
         res = exact_pathwidth(g, **limit)
-        value, witness, suffix = res.width, res.decomposition, "pw.td"
+        value, text, suffix = res.width, format_td(res.decomposition, g), "pw.td"
     elif q == "cw":
         cert = cutwidth(g, **limit)
-        value, witness, suffix = cert.value, cert.ordering, "cw.ord"
+        value, text, suffix = cert.value, format_ord(cert.ordering), "cw.ord"
     elif q == "con":
         cert = min_tree_congestion(g, **limit)
-        value, witness, suffix = cert.value, cert.embedding, "con.emb"
+        value, text, suffix = cert.value, format_emb(cert.embedding, g), "con.emb"
     else:
         cert = min_path_congestion(g, **limit)
-        value, witness, suffix = cert.value, cert.ordering, "pcon.ord"
+        value, text, suffix = cert.value, format_ord(cert.ordering), "pcon.ord"
     print(f"{q} {value}")
     if not args.no_witness:
         path = _witness_path(args, suffix)
-        if suffix.endswith(".td"):
-            write_td(path, witness, g)
-        elif suffix.endswith(".emb"):
-            write_emb(path, witness, g)
-        else:
-            write_ord(path, witness)
+        write_text(path, text)
         print(f"witness {path}")
     return 0
 
@@ -196,7 +193,7 @@ def _cmd_construct(args) -> int:
         t = read_gr(args.input)
         dec = tree_line_decomposition(t)
         out = args.output or args.input.with_suffix(".line.td")
-        write_td(out, dec, t)
+        write_text(out, format_td(dec, t))
         print(f"width {width(dec)}")
         print(f"wrote {out}")
         return 0
@@ -206,17 +203,15 @@ def _cmd_construct(args) -> int:
     td = read_td(args.input, SUBJECT_GRAPH)
     dec_in = as_path_decomposition(td) if args.path else td
     if args.mode == "expand":
-        from linewidth.decompositions import expand_to_line
-
         dec = expand_to_line(dec_in, g)
         out = args.output or args.input.with_suffix(".expand.td")
-        write_td(out, dec, g)
+        write_text(out, format_td(dec, g))
         print(f"width {width(dec)}")
         print(f"wrote {out}")
         return 0
     built = improved_upper_construction(g, dec_in)
     out = args.output or args.input.with_suffix(".improved.td")
-    write_td(out, built.decomposition, g)
+    write_text(out, format_td(built.decomposition, g))
     print(f"width {built.width}")
     print(f"closed-form {format_value(built.closed_form)}")
     if built.fallback:
@@ -230,16 +225,14 @@ def _cmd_normalize(args) -> int:
     td = read_td(args.decomposition, SUBJECT_LINE)
     form = normalize_line_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".norm.td")
-    write_td(out, form.decomposition, g)
+    write_text(out, format_td(form.decomposition, g))
     print(f"width {width(form.decomposition)}")
     print(f"wrote {out}")
     emb_out = out.with_suffix(".emb")
-    from linewidth.congestion import LeafEmbedding
-
     emb = LeafEmbedding(
         form.decomposition.nodes, form.decomposition.tree_edges, form.base.by_vertex
     )
-    write_emb(emb_out, emb, g)
+    write_text(emb_out, format_emb(emb, g))
     print(f"wrote {emb_out}")
     return 0
 
@@ -249,7 +242,7 @@ def _cmd_transform(args) -> int:
     td = read_td(args.decomposition, SUBJECT_LINE)
     dec = line_to_graph_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".g.td")
-    write_td(out, dec, g)
+    write_text(out, format_td(dec, g))
     print(f"width {width(dec)}")
     print(f"wrote {out}")
     return 0
@@ -258,7 +251,7 @@ def _cmd_transform(args) -> int:
 def _cmd_gen(args) -> int:
     spec = FamilySpec(args.family, tuple(args.params))
     g = generate(spec)
-    write_gr(args.output, g, comments=[f"family {spec.label()}"])
+    write_text(args.output, format_gr(g, comments=[f"family {spec.label()}"]))
     print(f"wrote {args.output} (n={g.n} m={g.edge_count})")
     return 0
 
@@ -287,11 +280,11 @@ def _cmd_sharp(args) -> int:
     rel = "<=" if sc.closed_form_is_upper else "=="
     print(f"width {sc.width} ({rel} closed form {sc.closed_form})")
     out = args.output or args.graph.with_suffix(".sharp.td")
-    write_td(out, sc.decomposition, g)
+    write_text(out, format_td(sc.decomposition, g))
     print(f"wrote {out}")
     if sc.ordering is not None:
         ord_out = out.with_suffix(".ord")
-        write_ord(ord_out, sc.ordering)
+        write_text(ord_out, format_ord(sc.ordering))
         print(f"wrote {ord_out}")
     return 0
 

@@ -25,7 +25,9 @@ from linewidth.graphs import (
     Graph,
     _adjacency_masks,
     _int,
+    header_fields,
     read_text,
+    records,
 )
 from linewidth.treeops import adjacency, check_tree, root_tree, tree_path
 
@@ -232,11 +234,9 @@ class _TreeSearch:
     existing tree edge and hangs the new leaf off the subdivision node.
     Every such tree arises exactly once this way.  Node and edge loads are
     maintained incrementally; they never decrease as the embedding grows, so
-    a partial maximum at or above the incumbent can be pruned.  No ancestor
-    of a leaf of optimal value is pruned while the incumbent is above it, so
-    run(optimum + 1, optimum) stops at the same first optimal leaf as a
-    search started from any higher incumbent.  The tree is held as a parent
-    map rooted at node 1, which tree_path routes over.
+    a partial embedding with a load above the bound is not extended.  The
+    tree is held as a parent map rooted at node 1, which tree_path routes
+    over.
     """
 
     def __init__(self, g: Graph, verts):
@@ -246,15 +246,12 @@ class _TreeSearch:
         self.node_load: dict[int, int] = {}
         self.edge_load: dict[tuple[int, int], int] = {}
         self.host: dict[int, int] = {}
-        self.best = None
-        self.best_snapshot = None
-        self.floor = 0
+        self.bound = 0
 
-    def run(self, incumbent: int, floor: int):
-        """Search for congestion strictly below `incumbent`; stop early once
-        `floor` (a global lower bound) is reached."""
-        self.best = incumbent
-        self.floor = floor
+    def first_fit(self, bound: int) -> LeafEmbedding | None:
+        """The first embedding in search order whose node loads all stay at
+        or below `bound`, or None if there is none."""
+        self.bound = bound
         v1, v2 = self.verts[0], self.verts[1]
         self.parent = {1: None, 2: 1}
         self.host = {v1: 1, v2: 2}
@@ -262,10 +259,7 @@ class _TreeSearch:
         self.node_load = {1: first, 2: first}
         self.edge_load = {(1, 2): first}
         self.next_id = 3
-        self._extend(2, first)
-        if self.best_snapshot is None:
-            return None
-        return self.best, self.best_snapshot
+        return self._extend(2)
 
     def _snapshot(self) -> LeafEmbedding:
         remap = {n: i for i, n in enumerate(sorted(self.parent), start=1)}
@@ -286,22 +280,18 @@ class _TreeSearch:
             self.edge_load[key] += step
         return worst
 
-    def _extend(self, k: int, cur_max: int):
-        if self.best <= self.floor:
-            return
+    def _extend(self, k: int) -> LeafEmbedding | None:
         if k == len(self.verts):
-            if cur_max < self.best:
-                self.best = cur_max
-                self.best_snapshot = self._snapshot()
-            return
+            return self._snapshot()
         v = self.verts[k]
         placed_nbrs = sorted(w for w in self.g.neighbors(v) if w in self.host)
         for a, b in sorted(self.edge_load):
-            if self.best <= self.floor:
-                return
+            carried = self.edge_load[(a, b)]
+            if carried > self.bound:
+                continue
             mid, leaf = self.next_id, self.next_id + 1
             self.next_id += 2
-            carried = self.edge_load.pop((a, b))
+            del self.edge_load[(a, b)]
             child, par = (a, b) if self.parent[a] == b else (b, a)
             self.parent[child] = mid
             self.parent[mid] = par
@@ -312,13 +302,10 @@ class _TreeSearch:
             self.node_load[mid] = carried
             self.node_load[leaf] = 0
             self.host[v] = leaf
-            local_max = max(cur_max, carried)
-            for w in placed_nbrs:
-                worst = self._route(leaf, self.host[w], +1)
-                if worst > local_max:
-                    local_max = worst
-            if local_max < self.best:
-                self._extend(k + 1, local_max)
+            worst = max([self._route(leaf, self.host[w], +1) for w in placed_nbrs], default=0)
+            found = self._extend(k + 1) if worst <= self.bound else None
+            if found is not None:
+                return found
             for w in placed_nbrs:
                 self._route(leaf, self.host[w], -1)
             del self.host[v]
@@ -330,6 +317,7 @@ class _TreeSearch:
             del self.parent[mid], self.parent[leaf]
             self.edge_load[(a, b)] = carried
             self.next_id -= 2
+        return None
 
 
 def min_tree_congestion(
@@ -351,7 +339,7 @@ def min_tree_congestion(
         emb = caterpillar_embedding(path_cert.ordering, g)
     else:
         order = sorted(active, key=lambda v: (-g.degree(v), v))
-        emb = _TreeSearch(g, order).run(value + 1, value)[1]
+        emb = _TreeSearch(g, order).first_fit(value)
     return CongestionCertificate(value, "tree-vertex", embedding=emb)
 
 
@@ -393,24 +381,21 @@ def parse_emb(text: str) -> LeafEmbedding:
     header = None
     edges, assignment = [], {}
     nodes = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "s":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "emb":
-                raise FormatError(f"line {lineno}: expected 's emb <nodes> <n>'")
-            header = (_int(parts[2], lineno), _int(parts[3], lineno))
-        elif parts[0] == "t":
+            header = header_fields(parts, lineno, header, "s emb <nodes> <n>")
+            continue
+        if parts[0] not in ("t", "l"):
+            raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+        if header is None:
+            raise FormatError(f"line {lineno}: record before 's emb' header")
+        if parts[0] == "t":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 't <i> <j>'")
             a, b = _int(parts[1], lineno), _int(parts[2], lineno)
             edges.append((a, b))
             nodes.update((a, b))
-        elif parts[0] == "l":
+        else:
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'l <node> <vertex>'")
             node, v = _int(parts[1], lineno), _int(parts[2], lineno)
@@ -418,8 +403,6 @@ def parse_emb(text: str) -> LeafEmbedding:
                 raise FormatError(f"line {lineno}: vertex {v} assigned twice")
             assignment[v] = node
             nodes.add(node)
-        else:
-            raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if header is None:
         raise FormatError("missing 's emb' header")
     if len(nodes) != header[0]:
@@ -439,23 +422,17 @@ def format_ord(o: LinearOrdering) -> str:
 def parse_ord(text: str) -> LinearOrdering:
     header = None
     ids: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "s":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 3 or parts[1] != "ord":
-                raise FormatError(f"line {lineno}: expected 's ord <k>'")
-            header = _int(parts[2], lineno)
+            header = header_fields(parts, lineno, header, "s ord <k>")
+        elif header is None:
+            raise FormatError(f"line {lineno}: vertex ids before 's ord' header")
         else:
             ids.extend(_int(tok, lineno) for tok in parts)
     if header is None:
         raise FormatError("missing 's ord' header")
-    if len(ids) != header:
-        raise FormatError(f"header declares {header} vertices, found {len(ids)}")
+    if len(ids) != header[0]:
+        raise FormatError(f"header declares {header[0]} vertices, found {len(ids)}")
     return LinearOrdering(ids)
 
 
@@ -463,15 +440,5 @@ def read_emb(path) -> LeafEmbedding:
     return parse_emb(read_text(path))
 
 
-def write_emb(path, e: LeafEmbedding, g: Graph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_emb(e, g))
-
-
 def read_ord(path) -> LinearOrdering:
     return parse_ord(read_text(path))
-
-
-def write_ord(path, o: LinearOrdering) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_ord(o))

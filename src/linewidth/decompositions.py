@@ -27,8 +27,10 @@ from linewidth.graphs import (
     FormatError,
     Graph,
     _int,
+    header_fields,
     incident_edge_ids,
     read_text,
+    records,
 )
 from linewidth.treeops import adjacency, check_tree, root_tree, sorted_edges, tree_path
 
@@ -485,19 +487,9 @@ def parse_td(text: str, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
     header = None
     bags: dict[int, set[int]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "s":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 5 or parts[1] != "td":
-                raise FormatError(
-                    f"line {lineno}: expected 's td <bags> <max_bag_size> <n>'"
-                )
-            header = (_int(parts[2], lineno), _int(parts[3], lineno), _int(parts[4], lineno))
+            header = header_fields(parts, lineno, header, "s td <bags> <max_bag_size> <n>")
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: bag before header")
@@ -540,7 +532,3 @@ def as_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
 def read_td(path, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
     return parse_td(read_text(path), subject)
 
-
-def write_td(path, d, g: Graph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_td(d, g))

@@ -263,23 +263,14 @@ def star_graph(m: int) -> Graph:
 # edge-id order.
 
 def parse_gr(text: str) -> Graph:
-    n = None
-    declared_m = 0
-    edges: list[tuple[int, int]] = []
+    header = None
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "p":
-            if n is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "tw":
-                raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
-            n, declared_m = _int(parts[2], lineno), _int(parts[3], lineno)
+            header = header_fields(parts, lineno, header, "p tw <n> <m>")
+            n = header[0]
             continue
-        if n is None:
+        if header is None:
             raise FormatError(f"line {lineno}: edge before 'p tw' header")
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected '<u> <v>'")
@@ -292,12 +283,11 @@ def parse_gr(text: str) -> Graph:
         if key in seen:
             raise FormatError(f"line {lineno}: duplicate edge {{{u},{v}}}")
         seen.add(key)
-        edges.append(key)
-    if n is None:
+    if header is None:
         raise FormatError("missing 'p tw <n> <m>' header")
-    if len(edges) != declared_m:
-        raise FormatError(f"header declares {declared_m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if len(seen) != header[1]:
+        raise FormatError(f"header declares {header[1]} edges, found {len(seen)}")
+    return Graph(n, seen)
 
 
 def format_gr(g: Graph, comments: Sequence[str] = ()) -> str:
@@ -311,9 +301,27 @@ def read_gr(path) -> Graph:
     return parse_gr(read_text(path))
 
 
-def write_gr(path, g: Graph, comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_gr(g, comments))
+# -- rules shared by the .gr, .td, .emb and .ord formats -----------------------
+
+def records(text: str):
+    """(line number, fields) of each line that is neither blank nor a
+    comment, a comment being a line whose first field starts with "c"."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("c"):
+            yield lineno, parts
+
+
+def header_fields(parts: list[str], lineno: int, header, usage: str) -> tuple[int, ...]:
+    """The integer fields of a header line shaped like `usage` (its first two
+    fields literal, one integer per placeholder), given the header read so
+    far, which must be None: a file has at most one header."""
+    if header is not None:
+        raise FormatError(f"line {lineno}: duplicate header")
+    shape = usage.split()
+    if len(parts) != len(shape) or parts[1] != shape[1]:
+        raise FormatError(f"line {lineno}: expected '{usage}'")
+    return tuple(_int(tok, lineno) for tok in parts[2:])
 
 
 def read_text(path) -> str:
@@ -325,6 +333,12 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"line {lineno}: non-ASCII byte in {path}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write the ASCII text of a formatted object to a file."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _int(token: str, lineno: int) -> int:

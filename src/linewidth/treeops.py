@@ -21,6 +21,8 @@ def adjacency(nodes, edges) -> dict[int, set[int]]:
             raise DomainError(f"tree edge ({a},{b}) references an unknown node")
         if a == b:
             raise DomainError(f"tree edge ({a},{b}) is a loop")
+        if b in adj[a]:
+            raise DomainError(f"tree edge ({a},{b}) is repeated")
         adj[a].add(b)
         adj[b].add(a)
     return adj

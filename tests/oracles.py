@@ -20,7 +20,6 @@ from itertools import combinations, permutations
 from linewidth.congestion import (
     LeafEmbedding,
     LinearOrdering,
-    _TreeSearch,
     caterpillar_embedding,
     min_path_congestion,
     ordering_cutwidth,
@@ -35,6 +34,7 @@ from linewidth.decompositions import (
 )
 from linewidth.graphs import DomainError, Graph
 from linewidth.optcheck import HALF, CornerCheck, _axis
+from linewidth.treeops import tree_path
 
 
 def eliminate(g: Graph, order) -> int:
@@ -192,6 +192,116 @@ def brute_tree_congestion(g: Graph) -> int:
     return best
 
 
+class TreeSearch:
+    """Depth-first branch and bound over leaf-labelled trees with internal
+    degree 3: the search that found tree congestion and its witness before
+    the split DP, and a reference for the bounded search that replays it.
+
+    Vertices are inserted in a fixed order; every insertion subdivides one
+    existing tree edge and hangs the new leaf off the subdivision node.
+    Every such tree arises exactly once this way.  Node and edge loads are
+    maintained incrementally; they never decrease as the embedding grows, so
+    a partial maximum at or above the incumbent can be pruned.  No ancestor
+    of a leaf of optimal value is pruned while the incumbent is above it, so
+    run(optimum + 1, optimum) stops at the same first optimal leaf as a
+    search started from any higher incumbent, the leaf that the bounded
+    search _TreeSearch.first_fit(optimum) returns.  The tree is held as a
+    parent map rooted at node 1, which tree_path routes over.
+    """
+
+    def __init__(self, g: Graph, verts):
+        self.g = g
+        self.verts = verts
+        self.parent: dict[int, int | None] = {}
+        self.node_load: dict[int, int] = {}
+        self.edge_load: dict[tuple[int, int], int] = {}
+        self.host: dict[int, int] = {}
+        self.best = None
+        self.best_snapshot = None
+        self.floor = 0
+
+    def run(self, incumbent: int, floor: int):
+        """Search for congestion strictly below `incumbent`; stop early once
+        `floor` (a global lower bound) is reached."""
+        self.best = incumbent
+        self.floor = floor
+        v1, v2 = self.verts[0], self.verts[1]
+        self.parent = {1: None, 2: 1}
+        self.host = {v1: 1, v2: 2}
+        first = 1 if self.g.has_edge(v1, v2) else 0
+        self.node_load = {1: first, 2: first}
+        self.edge_load = {(1, 2): first}
+        self.next_id = 3
+        self._extend(2, first)
+        if self.best_snapshot is None:
+            return None
+        return self.best, self.best_snapshot
+
+    def _snapshot(self) -> LeafEmbedding:
+        remap = {n: i for i, n in enumerate(sorted(self.parent), start=1)}
+        edges = [(remap[n], remap[p]) for n, p in self.parent.items() if p is not None]
+        assignment = {v: remap[n] for v, n in self.host.items()}
+        return LeafEmbedding(remap.values(), edges, assignment)
+
+    def _route(self, x: int, y: int, step: int) -> int:
+        worst = 0
+        path = tree_path(self.parent, x, y)
+        for node in path:
+            load = self.node_load[node] + step
+            self.node_load[node] = load
+            if load > worst:
+                worst = load
+        for a, b in zip(path, path[1:]):
+            key = (a, b) if a < b else (b, a)
+            self.edge_load[key] += step
+        return worst
+
+    def _extend(self, k: int, cur_max: int):
+        if self.best <= self.floor:
+            return
+        if k == len(self.verts):
+            if cur_max < self.best:
+                self.best = cur_max
+                self.best_snapshot = self._snapshot()
+            return
+        v = self.verts[k]
+        placed_nbrs = sorted(w for w in self.g.neighbors(v) if w in self.host)
+        for a, b in sorted(self.edge_load):
+            if self.best <= self.floor:
+                return
+            mid, leaf = self.next_id, self.next_id + 1
+            self.next_id += 2
+            carried = self.edge_load.pop((a, b))
+            child, par = (a, b) if self.parent[a] == b else (b, a)
+            self.parent[child] = mid
+            self.parent[mid] = par
+            self.parent[leaf] = mid
+            self.edge_load[(min(a, mid), max(a, mid))] = carried
+            self.edge_load[(min(b, mid), max(b, mid))] = carried
+            self.edge_load[(mid, leaf)] = 0
+            self.node_load[mid] = carried
+            self.node_load[leaf] = 0
+            self.host[v] = leaf
+            local_max = max(cur_max, carried)
+            for w in placed_nbrs:
+                worst = self._route(leaf, self.host[w], +1)
+                if worst > local_max:
+                    local_max = worst
+            if local_max < self.best:
+                self._extend(k + 1, local_max)
+            for w in placed_nbrs:
+                self._route(leaf, self.host[w], -1)
+            del self.host[v]
+            del self.node_load[mid], self.node_load[leaf]
+            del self.edge_load[(min(a, mid), max(a, mid))]
+            del self.edge_load[(min(b, mid), max(b, mid))]
+            del self.edge_load[(mid, leaf)]
+            self.parent[child] = par
+            del self.parent[mid], self.parent[leaf]
+            self.edge_load[(a, b)] = carried
+            self.next_id -= 2
+
+
 def tree_congestion_by_search(g: Graph) -> tuple[int, LeafEmbedding]:
     """Tree congestion and its witness as found before the split DP: the
     caterpillar of the best path embedding is the incumbent, and the branch
@@ -203,7 +313,7 @@ def tree_congestion_by_search(g: Graph) -> tuple[int, LeafEmbedding]:
     delta = max(g.degree(v) for v in active)
     if path_cert.value > delta:
         order = sorted(active, key=lambda v: (-g.degree(v), v))
-        found = _TreeSearch(g, order).run(path_cert.value, delta)
+        found = TreeSearch(g, order).run(path_cert.value, delta)
         if found is not None:
             return found
     return path_cert.value, caterpillar_embedding(path_cert.ordering, g)

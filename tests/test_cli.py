@@ -184,10 +184,27 @@ PATH26 = "p tw 26 25\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 26))
             "tree congestion solver: instance size 26 exceeds the limit of 25",
         ),
         ({}, ["exact", "tw", "g.gr", "--limit", "0"], "limit of 0"),
+        (
+            {"w.td": "s td 2 2 2\nb 1 1 2\nb 2 1 2\n1 2\n1 2\n"},
+            ["validate", "w.td"],
+            "tree edge (1,2) is repeated",
+        ),
+        (
+            {"w.emb": "s emb 2 2\nt 1 2\nt 1 2\nl 1 1\nl 2 2\n"},
+            ["validate", "w.emb"],
+            "tree edge (1,2) is repeated",
+        ),
+        (
+            {"w.emb": "t 1 2\ns emb 2 2\nl 1 1\nl 2 2\n"},
+            ["validate", "w.emb"],
+            "line 1: record before 's emb' header",
+        ),
+        ({"w.ord": "1 2\ns ord 2\n"}, ["validate", "w.ord"], "line 1: vertex ids before"),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
         "limit-30", "con-limit-30", "limit-0",
+        "td-repeated-edge", "emb-repeated-edge", "emb-late-header", "ord-late-header",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):

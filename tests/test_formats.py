@@ -114,6 +114,8 @@ def test_ord_round_trip():
     assert parse_ord(text) == o
     with pytest.raises(FormatError, match="declares"):
         parse_ord("s ord 2\n1\n")
+    with pytest.raises(FormatError, match="line 1: vertex ids before 's ord' header"):
+        parse_ord("1 2\ns ord 2\n")
 
 
 def test_emb_round_trip():
@@ -128,6 +130,8 @@ def test_emb_round_trip():
 def test_emb_parse_errors():
     with pytest.raises(FormatError, match="header"):
         parse_emb("t 1 2\n")
+    with pytest.raises(FormatError, match="line 2: record before 's emb' header"):
+        parse_emb("c late header\nl 1 1\ns emb 1 1\n")
     with pytest.raises(FormatError, match="assigned twice"):
         parse_emb("s emb 2 2\nt 1 2\nl 1 1\nl 2 1\n")
     with pytest.raises(FormatError, match="declares"):
@@ -154,27 +158,33 @@ _JUNK = st.lists(
 @st.composite
 def _near_format(draw, fmt):
     """Records of fmt with small, possibly invalid ids, under a header whose
-    counts are usually right, with a junk line or two sometimes mixed in."""
+    counts are usually right, with a junk line or two sometimes mixed in.
+    Sometimes a tree edge is repeated or the header follows a record."""
     slack = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    tree = draw(_PAIRS)
+    if tree and draw(st.booleans()):
+        tree.insert(draw(st.integers(0, len(tree))), draw(st.sampled_from(tree)))
     if fmt == "gr":
         pairs = draw(_PAIRS)
-        lines = [f"p tw {draw(st.integers(0, 6))} {len(pairs) + slack}"]
-        lines += [f"{a} {b}" for a, b in pairs]
+        header = f"p tw {draw(st.integers(0, 6))} {len(pairs) + slack}"
+        lines = [f"{a} {b}" for a, b in pairs]
     elif fmt == "td":
         bags = draw(st.lists(st.sets(_ID, max_size=3), max_size=5))
         path = [(i, i + 1) for i in range(1, len(bags))]
         size = max(map(len, bags), default=0) + slack
-        lines = [f"s td {len(bags)} {size} 0"]
-        lines += [" ".join(map(str, ["b", i, *bag])) for i, bag in enumerate(bags, start=1)]
-        lines += [f"{a} {b}" for a, b in draw(st.one_of(st.just(path), _PAIRS))]
+        header = f"s td {len(bags)} {size} 0"
+        lines = [" ".join(map(str, ["b", i, *bag])) for i, bag in enumerate(bags, start=1)]
+        lines += [f"{a} {b}" for a, b in draw(st.sampled_from([path, path + path[-1:], tree]))]
     elif fmt == "emb":
-        tree, leaves = draw(_PAIRS), draw(_PAIRS)
+        leaves = draw(_PAIRS)
         nodes = {x for edge in tree for x in edge} | {node for node, _ in leaves}
-        lines = [f"s emb {len(nodes) + slack} 0"]
-        lines += [f"t {a} {b}" for a, b in tree] + [f"l {n} {v}" for n, v in leaves]
+        header = f"s emb {len(nodes) + slack} 0"
+        lines = [f"t {a} {b}" for a, b in tree] + [f"l {n} {v}" for n, v in leaves]
     else:
         ids = draw(st.lists(_ID, max_size=6))
-        lines = [f"s ord {len(ids) + slack}", " ".join(map(str, ids))]
+        header = f"s ord {len(ids) + slack}"
+        lines = [" ".join(map(str, ids))]
+    lines.insert(draw(st.sampled_from([0, 0, 0, 1])), header)
     for at, junk in draw(st.lists(st.tuples(st.integers(0, 20), _JUNK), max_size=2)):
         lines.insert(at, junk)
     return "\n".join(lines)

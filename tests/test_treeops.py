@@ -75,3 +75,9 @@ def test_tree_path_edge_cases():
 def test_tree_path_rejects_disconnected_nodes():
     with pytest.raises(DomainError):
         tree_path({1: None, 2: None}, 1, 2)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2), (1, 2)], [(1, 2), (2, 3), (2, 1)]])
+def test_adjacency_rejects_repeated_edges(edges):
+    with pytest.raises(DomainError, match=r"tree edge \(\d,\d\) is repeated"):
+        adjacency((1, 2, 3), edges)

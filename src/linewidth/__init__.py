@@ -1,10 +1,10 @@
 """Treewidth and pathwidth of line graphs via tree and path congestion.
 
-The package computes exact values (subset-DP solvers, with a tree search
-that replays the tree-congestion witness), every constructive decomposition
-transformation between a graph and its line graph, closed-form degree
-bounds with their sharpness families, and exact-rational verification of
-the optimization steps behind the bound constants.
+The package computes exact values (subset-DP solvers, and a first-fit
+tree search that replays the tree-congestion witness), every constructive
+decomposition transformation between a graph and its line graph,
+closed-form degree bounds with their sharpness families, and
+exact-rational verification of the bound constants' optimization steps.
 """
 
 from linewidth.graphs import (

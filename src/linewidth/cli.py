@@ -26,7 +26,7 @@ from linewidth.congestion import (
     format_ord,
     min_path_congestion,
     min_tree_congestion,
-    read_emb,
+    parse_emb,
     read_ord,
 )
 from linewidth.decompositions import (
@@ -37,13 +37,13 @@ from linewidth.decompositions import (
     format_td,
     line_to_graph_decomposition,
     normalize_line_decomposition,
-    read_td,
+    parse_td,
     validate,
     width,
 )
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.families import FAMILY_NAMES, FamilySpec, generate, sharp_embedding
-from linewidth.graphs import DomainError, format_gr, read_gr, read_text, write_text
+from linewidth.graphs import DomainError, format_gr, read_gr, read_text, records, write_text
 from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
 from linewidth.suite import run_theorem_checks
 
@@ -154,6 +154,17 @@ def _witness_path(args, suffix: str) -> Path:
     return args.graph.with_suffix(f".{suffix}")
 
 
+def _read_witness(path: Path, parse, count: int, *args):
+    """Parse a .td or .emb file whose last header field, <n>, must be `count`:
+    what format_td or format_emb writes for the companion graph."""
+    text = read_text(path)
+    witness = parse(text, *args)
+    declared = next(int(parts[-1]) for _, parts in records(text) if parts[0] == "s")
+    if declared != count:
+        raise DomainError(f"header declares n = {declared}; for this graph it must be {count}")
+    return witness
+
+
 def _cmd_exact(args) -> int:
     g = read_gr(args.graph)
     limit = {} if args.limit is None else {"max_vertices": args.limit}
@@ -200,7 +211,7 @@ def _cmd_construct(args) -> int:
     if args.graph is None:
         raise DomainError("--graph is required for expand/improved")
     g = read_gr(args.graph)
-    td = read_td(args.input, SUBJECT_GRAPH)
+    td = _read_witness(args.input, parse_td, g.n)
     dec_in = as_path_decomposition(td) if args.path else td
     if args.mode == "expand":
         dec = expand_to_line(dec_in, g)
@@ -222,7 +233,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_normalize(args) -> int:
     g = read_gr(args.graph)
-    td = read_td(args.decomposition, SUBJECT_LINE)
+    td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     form = normalize_line_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".norm.td")
     write_text(out, format_td(form.decomposition, g))
@@ -239,7 +250,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_transform(args) -> int:
     g = read_gr(args.graph)
-    td = read_td(args.decomposition, SUBJECT_LINE)
+    td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     dec = line_to_graph_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".g.td")
     write_text(out, format_td(dec, g))
@@ -293,7 +304,7 @@ def _cmd_validate(args) -> int:
     g = read_gr(args.graph)
     suffix = args.witness.suffix
     if suffix == ".emb":
-        emb = read_emb(args.witness)
+        emb = _read_witness(args.witness, parse_emb, g.n)
         emb.check(g)
         print("valid embedding")
         return 0
@@ -302,7 +313,8 @@ def _cmd_validate(args) -> int:
         order.check(g)
         print("valid ordering")
         return 0
-    td = read_td(args.witness, SUBJECT_LINE if args.line else SUBJECT_GRAPH)
+    subject, count = (SUBJECT_LINE, g.edge_count) if args.line else (SUBJECT_GRAPH, g.n)
+    td = _read_witness(args.witness, parse_td, count, subject)
     report = validate(td, g)
     if report.ok:
         print(f"valid width {width(td)}")
@@ -312,12 +324,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
+    grid = {} if args.resolution is None else {"resolution": args.resolution}
     if args.which == "a":
-        res = min_balanced_split(args.s, args.resolution or 32)
+        res = min_balanced_split(args.s, **grid)
     elif args.which == "b":
-        res = min_degree_split(args.s, args.parity, args.resolution or 32)
+        res = min_degree_split(args.s, args.parity, **grid)
     else:
-        res = max_grid_partition(args.resolution or 8, args.mode)
+        res = max_grid_partition(mode=args.mode, **grid)
     print(f"{res.kind} {format_value(res.extremum)}")
     print(f"closed-form {format_value(res.closed_form)}")
     print(f"gap {format_value(res.gap)}")

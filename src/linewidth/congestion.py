@@ -226,98 +226,62 @@ def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
     return LeafEmbedding(nodes, edges, assignment)
 
 
-class _TreeSearch:
-    """Depth-first search over leaf-labelled trees with internal degree 3,
-    which min_tree_congestion runs to replay the witness of a known optimum.
+def _first_fit(g: Graph, verts, bound: int) -> LeafEmbedding | None:
+    """The first embedding of verts in depth-first order whose node loads all
+    stay at or below `bound`, or None if there is none; min_tree_congestion
+    runs it to replay the witness of a known optimum.
 
-    Vertices are inserted in a fixed order; every insertion subdivides one
-    existing tree edge and hangs the new leaf off the subdivision node.
-    Every such tree arises exactly once this way.  Node and edge loads are
-    maintained incrementally; they never decrease as the embedding grows, so
-    a partial embedding with a load above the bound is not extended.  The
-    tree is held as a parent map rooted at node 1, which tree_path routes
-    over.
+    verts[0] and verts[1] sit at nodes 1 and 2.  Depth k >= 2 subdivides one
+    tree edge, in sorted order, with node 2k - 1 and hangs verts[k] off it at
+    leaf 2k, so every tree with internal degree 3 arises exactly once and a
+    complete embedding uses the node ids 1..2 len(verts) - 2.  Loads never
+    decrease as the embedding grows, so an edge or a partial embedding above
+    the bound is not extended.  The tree is a parent list rooted at node 1,
+    which tree_path routes over; ids of a depth are rewritten before they are
+    read again, so only the edge loads are cleaned up on the way back.
     """
+    size = 2 * len(verts) - 1
+    host = {v: max(2 * k, 1) for k, v in enumerate(verts)}
+    parent: list[int | None] = [None] * size
+    parent[2] = 1
+    node_load = [0] * size
+    node_load[1] = node_load[2] = 1 if g.has_edge(verts[0], verts[1]) else 0
+    edge_load = {(1, 2): node_load[1]}
 
-    def __init__(self, g: Graph, verts):
-        self.g = g
-        self.verts = verts
-        self.parent: dict[int, int | None] = {}
-        self.node_load: dict[int, int] = {}
-        self.edge_load: dict[tuple[int, int], int] = {}
-        self.host: dict[int, int] = {}
-        self.bound = 0
-
-    def first_fit(self, bound: int) -> LeafEmbedding | None:
-        """The first embedding in search order whose node loads all stay at
-        or below `bound`, or None if there is none."""
-        self.bound = bound
-        v1, v2 = self.verts[0], self.verts[1]
-        self.parent = {1: None, 2: 1}
-        self.host = {v1: 1, v2: 2}
-        first = 1 if self.g.has_edge(v1, v2) else 0
-        self.node_load = {1: first, 2: first}
-        self.edge_load = {(1, 2): first}
-        self.next_id = 3
-        return self._extend(2)
-
-    def _snapshot(self) -> LeafEmbedding:
-        remap = {n: i for i, n in enumerate(sorted(self.parent), start=1)}
-        edges = [(remap[n], remap[p]) for n, p in self.parent.items() if p is not None]
-        assignment = {v: remap[n] for v, n in self.host.items()}
-        return LeafEmbedding(remap.values(), edges, assignment)
-
-    def _route(self, x: int, y: int, step: int) -> int:
-        worst = 0
-        path = tree_path(self.parent, x, y)
+    def route(path: list[int], step: int) -> int:
         for node in path:
-            load = self.node_load[node] + step
-            self.node_load[node] = load
-            if load > worst:
-                worst = load
+            node_load[node] += step
         for a, b in zip(path, path[1:]):
-            key = (a, b) if a < b else (b, a)
-            self.edge_load[key] += step
-        return worst
+            edge_load[(a, b) if a < b else (b, a)] += step
+        return max(node_load[node] for node in path)
 
-    def _extend(self, k: int) -> LeafEmbedding | None:
-        if k == len(self.verts):
-            return self._snapshot()
-        v = self.verts[k]
-        placed_nbrs = sorted(w for w in self.g.neighbors(v) if w in self.host)
-        for a, b in sorted(self.edge_load):
-            carried = self.edge_load[(a, b)]
-            if carried > self.bound:
+    def extend(k: int) -> LeafEmbedding | None:
+        if k == len(verts):
+            return LeafEmbedding(range(1, size), [(n, parent[n]) for n in range(2, size)], host)
+        mid, leaf = 2 * k - 1, 2 * k
+        targets = [host[w] for w in sorted(g.neighbors(verts[k])) if host[w] < leaf]
+        for a, b in sorted(edge_load):
+            carried = edge_load[(a, b)]
+            if carried > bound:
                 continue
-            mid, leaf = self.next_id, self.next_id + 1
-            self.next_id += 2
-            del self.edge_load[(a, b)]
-            child, par = (a, b) if self.parent[a] == b else (b, a)
-            self.parent[child] = mid
-            self.parent[mid] = par
-            self.parent[leaf] = mid
-            self.edge_load[(min(a, mid), max(a, mid))] = carried
-            self.edge_load[(min(b, mid), max(b, mid))] = carried
-            self.edge_load[(mid, leaf)] = 0
-            self.node_load[mid] = carried
-            self.node_load[leaf] = 0
-            self.host[v] = leaf
-            worst = max([self._route(leaf, self.host[w], +1) for w in placed_nbrs], default=0)
-            found = self._extend(k + 1) if worst <= self.bound else None
-            if found is not None:
-                return found
-            for w in placed_nbrs:
-                self._route(leaf, self.host[w], -1)
-            del self.host[v]
-            del self.node_load[mid], self.node_load[leaf]
-            del self.edge_load[(min(a, mid), max(a, mid))]
-            del self.edge_load[(min(b, mid), max(b, mid))]
-            del self.edge_load[(mid, leaf)]
-            self.parent[child] = par
-            del self.parent[mid], self.parent[leaf]
-            self.edge_load[(a, b)] = carried
-            self.next_id -= 2
+            child, par = (a, b) if parent[a] == b else (b, a)
+            parent[child], parent[mid], parent[leaf] = mid, par, mid
+            del edge_load[(a, b)]
+            edge_load[(a, mid)] = edge_load[(b, mid)] = node_load[mid] = carried
+            edge_load[(mid, leaf)] = node_load[leaf] = 0
+            paths = [tree_path(parent, leaf, t) for t in targets]
+            if max([route(path, +1) for path in paths], default=0) <= bound:
+                found = extend(k + 1)
+                if found is not None:
+                    return found
+            for path in paths:
+                route(path, -1)
+            del edge_load[(a, mid)], edge_load[(b, mid)], edge_load[(mid, leaf)]
+            edge_load[(a, b)] = carried
+            parent[child] = par
         return None
+
+    return extend(2)
 
 
 def min_tree_congestion(
@@ -328,7 +292,7 @@ def min_tree_congestion(
     degree-2 nodes can be contracted and unused leaves pruned without
     raising congestion.  The value comes from the split DP; the witness is
     the caterpillar of the best path embedding when that attains it, and
-    otherwise the first optimal embedding of the _TreeSearch order."""
+    otherwise the first embedding in _first_fit's order that attains it."""
     if g.edge_count == 0:
         raise DomainError("tree congestion is undefined for an edgeless graph")
     active, masks = _active_masks(g)
@@ -339,7 +303,7 @@ def min_tree_congestion(
         emb = caterpillar_embedding(path_cert.ordering, g)
     else:
         order = sorted(active, key=lambda v: (-g.degree(v), v))
-        emb = _TreeSearch(g, order).first_fit(value)
+        emb = _first_fit(g, order, value)
     return CongestionCertificate(value, "tree-vertex", embedding=emb)
 
 

@@ -500,7 +500,11 @@ def parse_td(text: str, subject: str = SUBJECT_GRAPH) -> TreeDecomposition:
                 raise FormatError(f"line {lineno}: duplicate bag {bag_id}")
             if not (1 <= bag_id <= header[0]):
                 raise FormatError(f"line {lineno}: bag id {bag_id} out of range")
-            bags[bag_id] = {_int(tok, lineno) for tok in parts[2:]}
+            elems = [_int(tok, lineno) for tok in parts[2:]]
+            bags[bag_id] = set(elems)
+            if len(bags[bag_id]) < len(elems):
+                x = next(x for i, x in enumerate(elems) if x in elems[:i])
+                raise FormatError(f"line {lineno}: bag {bag_id} repeats element {x}")
         else:
             if header is None:
                 raise FormatError(f"line {lineno}: edge before header")

@@ -67,6 +67,8 @@ def random_graph(rng: random.Random) -> Graph:
 
 
 def random_suite(count: int = 100, seed: int = 2024) -> list[Graph]:
+    if count < 0:
+        raise DomainError("random graph count must be nonnegative")
     rng = random.Random(seed)
     return [random_graph(rng) for _ in range(count)]
 

@@ -26,17 +26,10 @@ class CheckLine:
         return f"{'ok  ' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _suite(max_n: int, random_count: int, seed: int) -> list[Graph]:
-    graphs = exhaustive_suite(max_n)
-    if random_count:
-        graphs += random_suite(random_count, seed)
-    return graphs
-
-
 def run_theorem_checks(
     max_n: int = 5, random_count: int = 100, seed: int = 2024
 ) -> list[CheckLine]:
-    graphs = _suite(max_n, random_count, seed)
+    graphs = exhaustive_suite(max_n) + random_suite(random_count, seed)
     tree_failures, path_failures, cut_failures, bound_failures = [], [], [], []
     applicable = 0
     for i, g in enumerate(graphs):

@@ -163,6 +163,10 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 PATH26 = "p tw 26 25\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 26))
+# decompositions of the 2-vertex path and of its one-vertex line graph whose
+# headers give the wrong <n>
+G_TD_99 = "s td 1 2 99\nb 1 1 2\n"
+LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
 
 
 @pytest.mark.parametrize(
@@ -200,11 +204,29 @@ PATH26 = "p tw 26 25\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 26))
             "line 1: record before 's emb' header",
         ),
         ({"w.ord": "1 2\ns ord 2\n"}, ["validate", "w.ord"], "line 1: vertex ids before"),
+        (
+            {"w.td": "s td 1 2 2\nb 1 1 2 2\n"},
+            ["validate", "w.td"],
+            "line 2: bag 1 repeats element 2",
+        ),
+        ({"w.td": G_TD_99}, ["validate", "w.td"], "n = 99; for this graph it must be 2"),
+        ({"w.td": LINE_TD_2}, ["validate", "w.td", "--line"], "n = 2; for this graph it must be 1"),
+        ({"w.emb": "s emb 2 99\nt 1 2\nl 1 1\nl 2 2\n"}, ["validate", "w.emb"], "n = 99; for"),
+        ({"w.td": LINE_TD_2}, ["normalize", "w.td", "--graph", "g.gr"], "n = 2; for"),
+        ({"w.td": LINE_TD_2}, ["transform", "lg-to-g", "w.td", "--graph", "g.gr"], "n = 2; for"),
+        ({"w.td": G_TD_99}, ["construct", "expand", "w.td", "--graph", "g.gr"], "n = 99; for"),
+        ({"w.td": G_TD_99}, ["construct", "improved", "w.td", "--graph", "g.gr"], "n = 99; for"),
+        ({}, ["verify", "appendix", "a", "--resolution", "0"], "resolution must be positive"),
+        ({}, ["verify", "appendix", "c", "--resolution", "0"], "resolution must be at least 4"),
+        ({}, ["verify", "theorems", "--max-n", "2", "--random", "-1"], "must be nonnegative"),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
         "limit-30", "con-limit-30", "limit-0",
         "td-repeated-edge", "emb-repeated-edge", "emb-late-header", "ord-late-header",
+        "td-repeated-element", "td-header-n", "line-td-header-n", "emb-header-n",
+        "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
+        "resolution-0", "resolution-0-grid", "random-negative",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):

@@ -1,9 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 
 from conftest import graphs
+from linewidth import kernels
 from linewidth.congestion import (
     CongestionCertificate,
     LeafEmbedding,
@@ -21,6 +23,7 @@ from linewidth.graphs import (
     DomainError,
     Graph,
     SolverLimitError,
+    _adjacency_masks,
     complete_graph,
     cycle_graph,
     line_graph,
@@ -143,6 +146,26 @@ def test_net_witness_comes_from_the_replay():
 @example(NET)
 def test_tree_congestion_witness_equals_branch_and_bound(g):
     assert_witness_of_the_search(g)
+
+
+def gap_graphs(count: int, seed: int) -> list[Graph]:
+    """The first `count` graphs of a seeded G(9, m) stream, m from 9 to 18,
+    whose path congestion is above their tree congestion."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, 10), 2))
+    found = []
+    while len(found) < count:
+        g = Graph(9, rng.sample(pairs, rng.randint(9, 18)))
+        masks = _adjacency_masks(g, g.non_isolated_vertices())
+        if kernels.path_congestion_table(masks)[-1] > kernels.tree_congestion_table(masks)[-1]:
+            found.append(g)
+    return found
+
+
+def test_tree_congestion_witness_on_seeded_gap_graphs_with_9_vertices():
+    # hypothesis graphs with n <= 8 rarely need the replay; these always do
+    for g in gap_graphs(20, seed=2024):
+        assert_witness_of_the_search(g)
 
 
 def test_tree_congestion_witness_on_every_labelled_graph_up_to_5_vertices():

@@ -165,6 +165,12 @@ def _read_witness(path: Path, parse, count: int, *args):
     return witness
 
 
+def _write(path: Path, text: str, note: str = "") -> None:
+    """Write an output file and name it on stdout, with an optional note."""
+    write_text(path, text)
+    print(f"wrote {path}{note}")
+
+
 def _cmd_exact(args) -> int:
     g = read_gr(args.graph)
     limit = {} if args.limit is None else {"max_vertices": args.limit}
@@ -204,9 +210,8 @@ def _cmd_construct(args) -> int:
         t = read_gr(args.input)
         dec = tree_line_decomposition(t)
         out = args.output or args.input.with_suffix(".line.td")
-        write_text(out, format_td(dec, t))
         print(f"width {width(dec)}")
-        print(f"wrote {out}")
+        _write(out, format_td(dec, t))
         return 0
     if args.graph is None:
         raise DomainError("--graph is required for expand/improved")
@@ -216,18 +221,16 @@ def _cmd_construct(args) -> int:
     if args.mode == "expand":
         dec = expand_to_line(dec_in, g)
         out = args.output or args.input.with_suffix(".expand.td")
-        write_text(out, format_td(dec, g))
         print(f"width {width(dec)}")
-        print(f"wrote {out}")
+        _write(out, format_td(dec, g))
         return 0
     built = improved_upper_construction(g, dec_in)
     out = args.output or args.input.with_suffix(".improved.td")
-    write_text(out, format_td(built.decomposition, g))
     print(f"width {built.width}")
     print(f"closed-form {format_value(built.closed_form)}")
     if built.fallback:
         print("fallback incident-expansion (max degree below input width)")
-    print(f"wrote {out}")
+    _write(out, format_td(built.decomposition, g))
     return 0
 
 
@@ -236,15 +239,12 @@ def _cmd_normalize(args) -> int:
     td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     form = normalize_line_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".norm.td")
-    write_text(out, format_td(form.decomposition, g))
     print(f"width {width(form.decomposition)}")
-    print(f"wrote {out}")
-    emb_out = out.with_suffix(".emb")
+    _write(out, format_td(form.decomposition, g))
     emb = LeafEmbedding(
         form.decomposition.nodes, form.decomposition.tree_edges, form.base.by_vertex
     )
-    write_text(emb_out, format_emb(emb, g))
-    print(f"wrote {emb_out}")
+    _write(out.with_suffix(".emb"), format_emb(emb, g))
     return 0
 
 
@@ -253,17 +253,16 @@ def _cmd_transform(args) -> int:
     td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     dec = line_to_graph_decomposition(td, g)
     out = args.output or args.decomposition.with_suffix(".g.td")
-    write_text(out, format_td(dec, g))
     print(f"width {width(dec)}")
-    print(f"wrote {out}")
+    _write(out, format_td(dec, g))
     return 0
 
 
 def _cmd_gen(args) -> int:
     spec = FamilySpec(args.family, tuple(args.params))
     g = generate(spec)
-    write_text(args.output, format_gr(g, comments=[f"family {spec.label()}"]))
-    print(f"wrote {args.output} (n={g.n} m={g.edge_count})")
+    text = format_gr(g, comments=[f"family {spec.label()}"])
+    _write(args.output, text, f" (n={g.n} m={g.edge_count})")
     return 0
 
 
@@ -291,12 +290,9 @@ def _cmd_sharp(args) -> int:
     rel = "<=" if sc.closed_form_is_upper else "=="
     print(f"width {sc.width} ({rel} closed form {sc.closed_form})")
     out = args.output or args.graph.with_suffix(".sharp.td")
-    write_text(out, format_td(sc.decomposition, g))
-    print(f"wrote {out}")
+    _write(out, format_td(sc.decomposition, g))
     if sc.ordering is not None:
-        ord_out = out.with_suffix(".ord")
-        write_text(ord_out, format_ord(sc.ordering))
-        print(f"wrote {ord_out}")
+        _write(out.with_suffix(".ord"), format_ord(sc.ordering))
     return 0
 
 

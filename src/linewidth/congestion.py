@@ -307,26 +307,6 @@ def min_tree_congestion(
     return CongestionCertificate(value, "tree-vertex", embedding=emb)
 
 
-@dataclass(frozen=True)
-class GolovachReport:
-    """Sandwich pw(L(G)) - floor(max_degree/2) + 1 <= cw(G) <= pw(L(G))."""
-
-    lower: int
-    cutwidth: int
-    upper: int
-    holds: bool
-
-
-def golovach_check(g: Graph) -> GolovachReport:
-    delta = g.max_degree()
-    if delta < 2:
-        raise DomainError("inequality requires maximum degree at least 2")
-    pw_line = min_path_congestion(g).value - 1
-    cw = cutwidth(g).value
-    lower = pw_line - delta // 2 + 1
-    return GolovachReport(lower, cw, pw_line, lower <= cw <= pw_line)
-
-
 # -- .emb / .ord file formats -------------------------------------------------
 #
 # .emb:  "s emb <tree_node_count> <n>", tree edges "t <i> <j>", leaf

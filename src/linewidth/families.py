@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from linewidth.congestion import LinearOrdering
-from linewidth.decompositions import PathDecomposition, SUBJECT_LINE
+from linewidth.decompositions import PathDecomposition, SUBJECT_LINE, width
 from linewidth.exact import exact_treewidth
 from linewidth.graphs import (
     DomainError,
@@ -245,7 +245,7 @@ def sharp_embedding(spec: FamilySpec, graph_file: Graph | None = None) -> SharpC
     if graph_file is not None and graph_file != g:
         raise DomainError(f"graph file does not match family '{spec.label()}'")
     dec = positional_line_decomposition(g, positions)
-    w = max(len(b) for b in dec.bags) - 1
+    w = width(dec)
     if is_upper:
         if w > closed:
             raise DomainError("construction exceeded its closed-form bound")

@@ -51,6 +51,9 @@ def connected_graphs(n: int) -> list[Graph]:
 
 
 def exhaustive_suite(max_n: int = 5) -> list[Graph]:
+    """All connected graphs on 2..max_n vertices; max_n = 1 gives none."""
+    if max_n < 1:
+        raise DomainError("largest vertex count must be positive")
     out = []
     for n in range(2, max_n + 1):
         out.extend(connected_graphs(n))

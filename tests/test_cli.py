@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import linewidth
-from linewidth import suite
+from linewidth import bounds, suite
 from linewidth.cli import main
+from linewidth.smallgraphs import exhaustive_suite
 
 
 def run(args, capsys):
@@ -219,6 +220,8 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ({}, ["verify", "appendix", "a", "--resolution", "0"], "resolution must be positive"),
         ({}, ["verify", "appendix", "c", "--resolution", "0"], "resolution must be at least 4"),
         ({}, ["verify", "theorems", "--max-n", "2", "--random", "-1"], "must be nonnegative"),
+        ({}, ["verify", "theorems", "--max-n", "0", "--random", "0"], "must be positive"),
+        ({}, ["verify", "theorems", "--max-n", "-2", "--random", "0"], "must be positive"),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
@@ -227,6 +230,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "td-repeated-element", "td-header-n", "line-td-header-n", "emb-header-n",
         "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
         "resolution-0", "resolution-0-grid", "random-negative",
+        "max-n-0", "max-n-negative",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
@@ -292,25 +296,39 @@ def test_verify_theorems_full_suite(capsys):
 
 
 @pytest.mark.parametrize(
-    "solver, check",
+    "module, solver, failing",
     [
-        ("min_tree_congestion", "tree-congestion-equals-line-treewidth"),
-        ("min_path_congestion", "path-congestion-equals-line-pathwidth"),
+        (suite, "min_tree_congestion", ["tree-congestion-equals-line-treewidth: 9 graphs"]),
+        (suite, "min_path_congestion", ["path-congestion-equals-line-pathwidth: 9 graphs"]),
+        # the bound report's cutwidth entries are both the cutwidth sandwich
+        # and two of the bounds that the bound sandwich checks
+        (
+            bounds,
+            "cutwidth_solver",
+            [
+                "cutwidth-sandwich: 8 graphs with max degree >= 2",
+                "bound-sandwich-and-constructions: 9 graphs",
+            ],
+        ),
+    ],
+    ids=[
+        "min_tree_congestion-tree-congestion-equals-line-treewidth",
+        "min_path_congestion-path-congestion-equals-line-pathwidth",
+        "cutwidth_solver-cutwidth-sandwich",
     ],
 )
-def test_verify_theorems_reports_a_failing_graph(monkeypatch, capsys, solver, check):
-    real = getattr(suite, solver)
-    calls = []
+def test_verify_theorems_reports_a_failing_graph(monkeypatch, capsys, module, solver, failing):
+    real = getattr(module, solver)
+    triangle = exhaustive_suite(4)[2]  # the third graph of the run; max degree 2
 
-    def off_by_one_on_the_third_graph(g):
+    def off_by_one_on_the_triangle(g):
         cert = real(g)
-        calls.append(g)
-        return replace(cert, value=cert.value + 1) if len(calls) == 3 else cert
+        return replace(cert, value=cert.value + 1) if g == triangle else cert
 
-    monkeypatch.setattr(suite, solver, off_by_one_on_the_third_graph)
+    monkeypatch.setattr(module, solver, off_by_one_on_the_triangle)
     code, out, _ = run(["verify", "theorems", "--max-n", "4", "--random", "0"], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert f"FAIL {check}: 9 graphs, failed at [2]" in lines
-    assert sum(line.startswith("FAIL ") for line in lines) == 1
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert fails == [f"FAIL {check}, failed at [2]" for check in failing]
     assert lines[-1] == "FAILURES present"

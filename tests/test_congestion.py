@@ -6,6 +6,7 @@ from hypothesis import example, given
 
 from conftest import graphs
 from linewidth import kernels
+from linewidth.bounds import TARGET_PW, bounds_report
 from linewidth.congestion import (
     CongestionCertificate,
     LeafEmbedding,
@@ -13,7 +14,6 @@ from linewidth.congestion import (
     caterpillar_embedding,
     cutwidth,
     format_emb,
-    golovach_check,
     min_path_congestion,
     min_tree_congestion,
     vertex_congestion,
@@ -116,14 +116,14 @@ def test_cutwidth_examples():
 
 
 def test_golovach_examples():
-    rep = golovach_check(star_graph(3))
-    assert (rep.lower, rep.cutwidth, rep.upper, rep.holds) == (2, 2, 2, True)
-    rep = golovach_check(complete_graph(3))
-    assert (rep.lower, rep.cutwidth, rep.upper, rep.holds) == (2, 2, 2, True)
-    rep = golovach_check(cycle_graph(4))
-    assert (rep.lower, rep.cutwidth, rep.upper, rep.holds) == (2, 2, 2, True)
-    with pytest.raises(DomainError):
-        golovach_check(path_graph(2))
+    # the sandwich pw(L) - floor(delta/2) + 1 <= cw <= pw(L) lives in the bound
+    # report: `cutwidth` bounds pw(L) below, `cutwidth-slack` bounds it above
+    for g in (star_graph(3), complete_graph(3), cycle_graph(4)):
+        rep = bounds_report(g, compute_exact=True)
+        values = {e.name: e.value for e in rep.entries}
+        assert (values["cutwidth"], values["cutwidth-slack"], rep.exact[TARGET_PW]) == (2, 2, 2)
+    names = {e.name for e in bounds_report(path_graph(2)).entries}
+    assert not names & {"cutwidth", "cutwidth-slack"}  # undefined below max degree 2
 
 
 @given(graphs(min_vertices=2, max_vertices=5, min_edges=1))
@@ -166,6 +166,34 @@ def test_tree_congestion_witness_on_seeded_gap_graphs_with_9_vertices():
     # hypothesis graphs with n <= 8 rarely need the replay; these always do
     for g in gap_graphs(20, seed=2024):
         assert_witness_of_the_search(g)
+
+
+# The 51st gap graph (con 4 < pcon 5) of a seeded G(10, m) stream, m from 10
+# to 20, no isolated vertex, seed 2024.  Its replay meets a tree edge whose
+# load equals the bound, and the first witness subdivides that edge.
+TIE_AT_THE_BOUND = Graph(
+    10, [(1, 6), (1, 7), (1, 9), (2, 9), (3, 7), (3, 9), (4, 6), (5, 10), (6, 9), (7, 8)]
+)
+TIE_AT_THE_BOUND_EMB = (
+    "s emb 18 10\n"
+    + "".join(
+        f"t {a} {b}\n"
+        for a, b in [
+            (1, 13), (2, 3), (3, 5), (3, 11), (4, 11), (5, 7), (5, 15), (6, 15), (7, 8),
+            (7, 9), (9, 10), (9, 13), (11, 12), (13, 17), (14, 17), (15, 16), (17, 18),
+        ]
+    )
+    + "".join(
+        f"l {node} {v}\n" for v, node in enumerate([2, 10, 8, 12, 14, 4, 6, 16, 1, 18], 1)
+    )
+)
+
+
+def test_tree_congestion_witness_keeps_an_edge_loaded_to_the_bound():
+    # the reference search in oracles.py is too slow at n = 10; the .emb bytes
+    # are pinned instead, so skipping edges at the bound changes them
+    g = TIE_AT_THE_BOUND
+    assert format_emb(min_tree_congestion(g).embedding, g) == TIE_AT_THE_BOUND_EMB
 
 
 def test_tree_congestion_witness_on_every_labelled_graph_up_to_5_vertices():

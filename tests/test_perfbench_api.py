@@ -1,10 +1,12 @@
-"""The program names the benchmark uses still exist.
+"""The program names the benchmarks use still exist.
 
-perfbench/tracing.py wraps each (module, function) pair in TRACED and
-perfbench/workloads.py imports the functions its workloads call; a refactor
-that renames or moves one of them fails here, not in a benchmark run.  Both
-files are loaded from source and left as they are: no bytecode is written
-next to them and neither stays in sys.modules.
+perfbench/tracing.py wraps each (module, function) pair in TRACED,
+perfbench/workloads.py imports the functions its workloads call, and
+benchmarks/bench_kernels.py imports the private graphs._adjacency_masks and
+kernels.backends; a refactor that renames or moves one of them fails here,
+not in a benchmark run.  The files are loaded from source without running
+their main and left as they are: no bytecode is written next to them and none
+stays in sys.modules.
 """
 
 import importlib
@@ -17,8 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+def load(path: Path):
+    name = path.stem
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     keep = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -32,10 +35,17 @@ def load(name: str):
 
 
 def test_every_traced_function_exists():
-    for mod_name, attr in load("tracing").TRACED:
+    for mod_name, attr in load(PERFBENCH / "tracing.py").TRACED:
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
 
 
 def test_workloads_import_cleanly():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    assert set(load("workloads").WORKLOADS) == {w["name"] for w in declared}
+    assert set(load(PERFBENCH / "workloads.py").WORKLOADS) == {w["name"] for w in declared}
+
+
+def test_kernel_benchmark_imports_cleanly():
+    bench = load(ROOT / "benchmarks" / "bench_kernels.py")
+    pure = bench.backends()["pure-python"]
+    assert all(callable(getattr(pure, name, None)) for name in bench.KERNELS)
+    assert len(bench.random_masks(5, seed=1)) == 5

@@ -176,13 +176,15 @@ def _ordering_profile(o: LinearOrdering, g: Graph, reach: int) -> tuple[int, dic
 
 def _active_masks(g: Graph):
     active = g.non_isolated_vertices()
-    return active, _adjacency_masks(g, active)
+    return active, tuple(_adjacency_masks(g, active))
 
 
 def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
     """Exact minimum, over orderings of the non-isolated vertices, of the
     largest number of edges covering a single position (endpoints included).
-    Subset DP; the witness ordering is rebuilt by backtracking the table."""
+    Subset DP; the witness ordering is rebuilt by backtracking the table.
+    Both come from the memoised kernels.solve, so min_tree_congestion's
+    incumbent right after this call on the same graph fills nothing."""
     if g.edge_count == 0:
         raise DomainError("path congestion is undefined for an edgeless graph")
     active, masks = _active_masks(g)
@@ -191,23 +193,18 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
     if m == 2:
         cert = CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
         return cert
-    table = kernels.path_congestion_table(masks)
-    order = kernels.backtrack(
-        table, m, lambda s, u: kernels.cross_size(masks, s) + (masks[u] & s).bit_count()
-    )
+    value, order = kernels.solve("path_congestion_table", masks)
     ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(table[-1], "path-vertex", ordering=ordering)
+    return CongestionCertificate(value, "path-vertex", ordering=ordering)
 
 
 def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
     """Exact cutwidth via subset DP, with a witness ordering."""
     active, masks = _active_masks(g)
-    m = len(active)
-    kernels.check_limit("cutwidth solver", m, max_vertices)
-    table = kernels.cutwidth_table(masks)
-    order = kernels.backtrack(table, m, lambda s, u: table[s])
+    kernels.check_limit("cutwidth solver", len(active), max_vertices)
+    value, order = kernels.solve("cutwidth_table", masks)
     ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(table[-1], "path-edge", ordering=ordering)
+    return CongestionCertificate(value, "path-edge", ordering=ordering)
 
 
 def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:

@@ -6,6 +6,13 @@ decompositions of exactly the reported width so the results can be checked
 by the decomposition validator.  The treewidth solver also returns its
 elimination ordering as a replayable certificate; one elimination game
 gives both the replayed width and the bags of the decomposition.
+
+The DP optimum and ordering come from ``kernels.solve``, which is memoised
+on the adjacency masks, so a graph solved again soon after (by
+``bounds_report``, say) is not filled again; the witness is still built and
+checked on every call.  ``exact_treewidth(line_graph(g))`` stays an
+independent oracle for the congestion of g: its masks are those of L(g),
+a different memo key from any solve on g.
 """
 
 from __future__ import annotations
@@ -63,14 +70,12 @@ def _prepare(g: Graph, max_vertices: int, what: str):
     if g.n == 0:
         raise DomainError(f"{what} is undefined for the empty graph")
     kernels.check_limit(f"{what} solver", g.n, max_vertices)
-    return _adjacency_masks(g, g.vertices)
+    return tuple(_adjacency_masks(g, g.vertices))
 
 
 def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResult:
     masks = _prepare(g, max_vertices, "treewidth")
-    table = kernels.treewidth_table(masks)
-    tw = table[-1]
-    order = kernels.backtrack(table, g.n, lambda s, v: kernels.component_reach(masks, s, v)[1])
+    tw, order = kernels.solve("treewidth_table", masks)
     ordering = tuple(v + 1 for v in order)
     bags = _elimination_bags(g, ordering)
     if max(map(len, bags)) - 1 != tw:  # internal consistency; never expected
@@ -97,9 +102,7 @@ def _decomposition_from_elimination(ordering, bags) -> TreeDecomposition:
 
 def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResult:
     masks = _prepare(g, max_vertices, "pathwidth")
-    table = kernels.vertex_separation_table(masks)
-    pw = table[-1]
-    order_bits = kernels.backtrack(table, g.n, lambda s, v: table[s])
+    pw, order_bits = kernels.solve("vertex_separation_table", masks)
     ordering = tuple(b + 1 for b in order_bits)
     # bag i = v_i plus the prefix vertices that still have later neighbours;
     # no earlier bag holds v_i, so a bag is only ever dropped for a later one

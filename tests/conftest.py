@@ -44,6 +44,13 @@ def retag_line(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.nodes, td.tree_edges, td.bags, SUBJECT_LINE)
 
 
+@pytest.fixture(autouse=True)
+def cold_solve_memo():
+    """Each test starts with an empty kernels.solve memo, so no outcome
+    depends on what an earlier test solved, or on a kernel it replaced."""
+    kernels.solve.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240817)

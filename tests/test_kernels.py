@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -6,7 +7,8 @@ from hypothesis import example, given
 import oracles
 from conftest import graphs
 from linewidth import kernels
-from linewidth.congestion import cutwidth, min_path_congestion
+from linewidth.bounds import bounds_report
+from linewidth.congestion import cutwidth, min_path_congestion, min_tree_congestion
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.graphs import Graph, _adjacency_masks, complete_graph, path_graph
 from linewidth.kernels import _pure
@@ -102,3 +104,106 @@ def test_border_and_cross():
     masks = [0b0110, 0b0101, 0b1011, 0b0100]
     assert _pure.cross_size(masks, 0b0011) == 2
     assert _pure.cross_size(masks, 0b1111) == 0
+
+
+# The four memoised solvers: the kernel each solves, the vertices its masks
+# run over, its backtrack cost spelled out again, and its (value, ordering).
+MEMOISED = {
+    "treewidth": (
+        exact_treewidth,
+        "treewidth_table",
+        lambda g: g.vertices,
+        lambda masks, table, s, v: _pure.component_reach(masks, s, v)[1],
+        lambda r: (r.width, r.certificate.ordering),
+    ),
+    "pathwidth": (
+        exact_pathwidth,
+        "vertex_separation_table",
+        lambda g: g.vertices,
+        lambda masks, table, s, v: table[s],
+        lambda r: (r.width, r.ordering),
+    ),
+    "cutwidth": (
+        cutwidth,
+        "cutwidth_table",
+        Graph.non_isolated_vertices,
+        lambda masks, table, s, v: table[s],
+        lambda r: (r.value, r.ordering.order),
+    ),
+    "path-congestion": (
+        min_path_congestion,
+        "path_congestion_table",
+        Graph.non_isolated_vertices,
+        lambda masks, table, s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count(),
+        lambda r: (r.value, r.ordering.order),
+    ),
+}
+
+
+@given(graphs(min_vertices=1, max_vertices=8))
+@example(Graph(1))
+@example(Graph(5, [(2, 3), (3, 4), (2, 4)]))
+def test_memo_is_transparent(g):
+    """Cold and warm, each solver reads what its table and backtrack give,
+    also where several kernels share one masks tuple."""
+    direct = {}
+    for name, (solver, kernel, vertices, cost, read) in MEMOISED.items():
+        verts = tuple(vertices(g))
+        if name == "path-congestion" and len(verts) <= 2:
+            continue  # no edge, or one edge, which is answered without a kernel
+        masks = _adjacency_masks(g, verts)
+        table = getattr(kernels, kernel)(masks)
+        order = kernels.backtrack(table, len(masks), lambda s, v: cost(masks, table, s, v))
+        direct[name] = (table[-1], tuple(verts[b] for b in order))
+    solved = {name: (MEMOISED[name][0], MEMOISED[name][4]) for name in direct}
+    kernels.solve.cache_clear()
+    for _ in ("cold", "warm"):
+        assert {name: read(solver(g)) for name, (solver, read) in solved.items()} == direct
+
+
+@pytest.mark.parametrize("name", ["cutwidth", "path-congestion"])
+def test_memo_hands_each_graph_its_own_vertex_ids(monkeypatch, name):
+    solver, kernel, _, _, read = MEMOISED[name]
+    g = Graph(4, [(1, 2), (2, 3), (3, 4), (2, 4)])
+    shifted = Graph(6, [(3, 4), (4, 5), (5, 6), (4, 6)])  # 1 and 2 isolated: g's masks
+    value, order = read(solver(g))
+    monkeypatch.setattr(kernels, kernel, None)  # a second fill would fail
+    assert read(solver(shifted)) == (value, tuple(v + 2 for v in order))
+    assert read(solver(g)) == (value, order)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Fills per kernel, counted by wrappers set on linewidth.kernels."""
+    counts = Counter()
+    for name in KERNELS:
+        real = getattr(kernels, name)
+
+        def counted(masks, real=real, name=name):
+            counts[name] += 1
+            return real(masks)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return counts
+
+
+def test_repeat_solves_reuse_the_memo_until_it_is_full(fills):
+    g = Graph(7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (6, 7), (2, 7)])
+    exact_treewidth(g)
+    exact_pathwidth(g)
+    cutwidth(g)
+    fills.clear()
+    bounds_report(g)
+    assert fills == {}
+    min_path_congestion(g)
+    fills.clear()
+    min_tree_congestion(g)
+    assert fills == {"tree_congestion_table": 1}
+    others = [path_graph(n) for n in range(4, 4 + kernels.SOLVE_MEMO_SIZE // 4 + 1)]
+    for other in others:
+        for solver, *_ in MEMOISED.values():
+            solver(other)
+    fills.clear()
+    for solver, *_ in MEMOISED.values():
+        solver(g)
+    assert fills == dict.fromkeys(KERNELS[:4], 1)

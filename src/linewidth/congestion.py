@@ -232,10 +232,13 @@ def _first_fit(g: Graph, verts, bound: int) -> LeafEmbedding | None:
     tree edge, in sorted order, with node 2k - 1 and hangs verts[k] off it at
     leaf 2k, so every tree with internal degree 3 arises exactly once and a
     complete embedding uses the node ids 1..2 len(verts) - 2.  Loads never
-    decrease as the embedding grows, so an edge or a partial embedding above
-    the bound is not extended.  The tree is a parent list rooted at node 1,
-    which tree_path routes over; ids of a depth are rewritten before they are
-    read again, so only the edge loads are cleaned up on the way back.
+    decrease as the embedding grows, so a partial embedding above the bound
+    is not extended.  No edge is above it: an edge's paths pass both its
+    ends, and node loads start at most 1 <= bound, a new node starts at the
+    load of the edge it splits, and a depth is entered only within the
+    bound.  The tree is a parent list rooted at node 1, which tree_path
+    routes over; ids of a depth are rewritten before they are read again, so
+    only the edge loads are cleaned up on the way back.
     """
     size = 2 * len(verts) - 1
     host = {v: max(2 * k, 1) for k, v in enumerate(verts)}
@@ -259,8 +262,6 @@ def _first_fit(g: Graph, verts, bound: int) -> LeafEmbedding | None:
         targets = [host[w] for w in sorted(g.neighbors(verts[k])) if host[w] < leaf]
         for a, b in sorted(edge_load):
             carried = edge_load[(a, b)]
-            if carried > bound:
-                continue
             child, par = (a, b) if parent[a] == b else (b, a)
             parent[child], parent[mid], parent[leaf] = mid, par, mid
             del edge_load[(a, b)]

@@ -102,9 +102,6 @@ class BaseNodeAssignment:
 
     by_vertex: dict[int, int]
 
-    def node_of(self, v: int) -> int:
-        return self.by_vertex[v]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -264,10 +261,11 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     subtrees pairwise intersect and by the Helly property share a node; the
     lowest such node id becomes b(v).  Rebuilding every bag as the set of
     edges whose base path crosses it only shrinks bags.  The tree is then
-    reshaped: base nodes are pushed onto fresh leaves, non-base leaves are
-    pruned, and the tree is binarised by splitting high-degree nodes (in
-    child id order) and contracting single-child nodes.  Bags are recomputed
-    from (tree, b) at the end, so each rewrite step is width-safe.
+    reshaped: base nodes are pushed onto fresh leaves, the tree is cut down
+    to the subtree that spans the base nodes, and that subtree is binarised
+    by splitting high-degree nodes (in child id order) and contracting
+    single-child nodes.  Bags are recomputed from (tree, b) at the end, so
+    each rewrite step is width-safe.
     """
     if g.edge_count == 0:
         raise DomainError("the graph has no edges")
@@ -284,30 +282,24 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     adj = td.adjacency()
     next_id = max(td.nodes) + 1
 
-    hosted: dict[int, list[int]] = {}
-    for v in sorted(base):
-        hosted.setdefault(base[v], []).append(v)
-    for node in sorted(hosted):
-        vs = hosted[node]
-        if len(adj[node]) <= 1 and len(vs) == 1:
-            continue  # already a private leaf
-        for v in vs:
-            leaf = next_id
+    hosts = Counter(base.values())
+    for node, v in sorted((node, v) for v, node in base.items()):
+        if len(adj[node]) > 1 or hosts[node] > 1:  # not yet a private leaf
+            adj[next_id] = {node}
+            adj[node].add(next_id)
+            base[v] = next_id
             next_id += 1
-            adj[leaf] = {node}
-            adj[node].add(leaf)
-            base[v] = leaf
 
+    # cut the tree down to the subtree spanning the base nodes: strip each
+    # non-base leaf once, and its neighbour when that becomes one in turn
     base_nodes = set(base.values())
-    pruned = True
-    while pruned:
-        pruned = False
-        for node in sorted(adj):
-            if len(adj[node]) <= 1 and node not in base_nodes:
-                for nb in adj[node]:
-                    adj[nb].discard(node)
-                del adj[node]
-                pruned = True
+    stack = [n for n in adj if len(adj[n]) == 1 and n not in base_nodes]
+    while stack:
+        node = stack.pop()
+        (nb,) = adj.pop(node)
+        adj[nb].discard(node)
+        if len(adj[nb]) == 1 and nb not in base_nodes:
+            stack.append(nb)
 
     if len(base) == 2:
         # two leaves: everything between them contracts to a single edge
@@ -354,8 +346,6 @@ def is_leaf_base_form(td: TreeDecomposition, base: BaseNodeAssignment, g: Graph)
     if not shape_ok:
         return False
     leaf_set = {n for n, s in adj.items() if len(s) == 1}
-    if len(adj) == 2:
-        leaf_set = set(adj)
     values = list(base.by_vertex.values())
     if len(set(values)) != len(values) or set(values) != leaf_set:
         return False
@@ -393,19 +383,19 @@ def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:
     at most one.  Isolated vertices get singleton bags attached to the root.
     """
     form = normalize_line_decomposition(d, g)
-    td, base = form.decomposition, form.base
+    td, base = form.decomposition, form.base.by_vertex
     adj = td.adjacency()
     root = min(adj)
     parent, _ = root_tree(adj, root)
     bags: dict[int, set[int]] = {n: set() for n in adj}
     corr: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for v, w in g.edges:  # v rides the path, w sits at b(w)
-        path = tree_path(parent, base.node_of(v), base.node_of(w))
-        for node in path[:-1]:
-            bags[node].add(v)
-        bags[path[-1]].add(w)
-        if len(path) >= 2:
-            corr.setdefault((path[-2], path[-1]), []).append((v, w))
+    paths = occurrences(td.bags)  # the normal form's bags are the edge paths
+    for eid, (v, w) in enumerate(g.edges, start=1):
+        leaf = base[w]  # v rides the path, w sits at its end b(w)
+        for node in paths[eid]:
+            bags[node].add(w if node == leaf else v)
+        (last,) = adj[leaf]  # b(w) is a leaf, so its neighbour is next to last
+        corr.setdefault((last, leaf), []).append((v, w))
     next_id = max(adj) + 1
     for key in sorted(corr):
         group = sorted(corr[key])
@@ -452,8 +442,6 @@ def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:
 def limit_tree_degree(d: TreeDecomposition) -> TreeDecomposition:
     """Split nodes until every node has at most two children (degree <= 3),
     duplicating the split node's bag; width is unchanged."""
-    if len(d.nodes) == 1:
-        return d
     root = min(d.nodes)
     parent, children = root_tree(d.adjacency(), root)
     bags = {n: set(d.bags[n]) for n in d.nodes}

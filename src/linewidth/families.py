@@ -102,11 +102,6 @@ class FamilySpec:
         return " ".join([self.family, *map(str, self.params)])
 
 
-def _circular_distance(i: int, j: int, n: int) -> int:
-    d = abs(i - j)
-    return min(d, n - d)
-
-
 def generate(spec: FamilySpec) -> Graph:
     if spec.family == "complete":
         return complete_graph(spec.params[0])
@@ -117,14 +112,9 @@ def generate(spec: FamilySpec) -> Graph:
         return Graph(n, [(i, j) for i in range(1, n) for j in range(i + 1, min(i + k, n) + 1)])
     if spec.family == "cycle-power":
         n, k = spec.params
+        # n > 2k, so the pairs are distinct; Graph sorts each into (min, max)
         return Graph(
-            n,
-            [
-                (i, j)
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-                if _circular_distance(i, j, n) <= k
-            ],
+            n, [(i, (i + d - 1) % n + 1) for i in range(1, n + 1) for d in range(1, k + 1)]
         )
     if spec.family == "cycle-power-matched":
         return _cycle_power_matched(*spec.params)

@@ -167,20 +167,20 @@ def minimal_dense_vertex_set(g: Graph, max_vertices: int = 18) -> tuple[int, ...
         raise SolverLimitError("minimal dense subgraph search", g.n, max_vertices)
     masks = _adjacency_masks(g, g.vertices)
     size = 1 << g.n
-    # edge counts per subset: e(S) = e(S minus lowest bit) + |N(low) & S|
+    # edge counts per subset: e(S) = e(S minus lowest bit) + |N(low) & S|,
+    # compared with the best so far as soon as it is known; subsets come in
+    # increasing order, so the first of equal size and density is least
     inner = [0] * size
+    best_s, best_m, best_k = 1, 0, 1
     for s in range(1, size):
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
-        inner[s] = inner[rest] + (masks[v] & rest).bit_count()
-    best_s, best_m, best_k = 1, 0, 1
-    for s in range(1, size):
+        m = inner[s] = inner[rest] + (masks[v] & rest).bit_count()
         k = s.bit_count()
-        m = inner[s]
         # compare 2m/k with 2*best_m/best_k by cross multiplication
         diff = m * best_k - best_m * k
-        if diff > 0 or (diff == 0 and (k < best_k or (k == best_k and s < best_s))):
+        if diff > 0 or (diff == 0 and k < best_k):
             best_s, best_m, best_k = s, m, k
     return tuple(v + 1 for v in range(g.n) if best_s >> v & 1)
 

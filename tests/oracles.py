@@ -588,3 +588,12 @@ def grid_minimize(objective, s, resolution, threshold, corner_claims):
     if best_val is None:
         raise DomainError("no feasible grid points for these parameters")
     return best_val, best_pt, corners, feasible
+
+
+def cycle_power(n: int, k: int) -> Graph:
+    """The k-th power of the n-cycle by its definition: every pair of
+    vertices at circular distance at most k."""
+    return Graph(
+        n,
+        [(i, j) for i, j in combinations(range(1, n + 1), 2) if min(j - i, n - j + i) <= k],
+    )

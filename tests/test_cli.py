@@ -217,6 +217,16 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ({"w.td": LINE_TD_2}, ["transform", "lg-to-g", "w.td", "--graph", "g.gr"], "n = 2; for"),
         ({"w.td": G_TD_99}, ["construct", "expand", "w.td", "--graph", "g.gr"], "n = 99; for"),
         ({"w.td": G_TD_99}, ["construct", "improved", "w.td", "--graph", "g.gr"], "n = 99; for"),
+        (
+            {"w.emb": "s emb 2 2\nt 1 2\nl 1 1\n"},
+            ["validate", "w.emb"],
+            "assignment domain must be the non-isolated vertices",
+        ),
+        (
+            {"w.ord": "s ord 2\n1 3\n"},
+            ["validate", "w.ord"],
+            "ordering must list exactly the non-isolated vertices",
+        ),
         ({}, ["verify", "appendix", "a", "--resolution", "0"], "resolution must be positive"),
         ({}, ["verify", "appendix", "c", "--resolution", "0"], "resolution must be at least 4"),
         ({}, ["verify", "theorems", "--max-n", "2", "--random", "-1"], "must be nonnegative"),
@@ -229,6 +239,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "td-repeated-edge", "emb-repeated-edge", "emb-late-header", "ord-late-header",
         "td-repeated-element", "td-header-n", "line-td-header-n", "emb-header-n",
         "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
+        "emb-domain", "ord-domain",
         "resolution-0", "resolution-0-grid", "random-negative",
         "max-n-0", "max-n-negative",
     ],

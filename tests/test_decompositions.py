@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -5,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, retag_line
-from linewidth.congestion import LeafEmbedding, min_tree_congestion, vertex_congestion
+from linewidth.congestion import (
+    LeafEmbedding,
+    format_emb,
+    min_tree_congestion,
+    vertex_congestion,
+)
 from linewidth.decompositions import (
     PathDecomposition,
     SUBJECT_GRAPH,
@@ -13,6 +20,7 @@ from linewidth.decompositions import (
     TreeDecomposition,
     decomposition_from_embedding,
     expand_to_line,
+    format_td,
     is_leaf_base_form,
     limit_tree_degree,
     line_to_graph_decomposition,
@@ -20,7 +28,8 @@ from linewidth.decompositions import (
     validate,
     width,
 )
-from linewidth.exact import exact_treewidth
+from linewidth.exact import exact_pathwidth, exact_treewidth
+from linewidth.families import FamilySpec, generate
 from linewidth.graphs import (
     DomainError,
     Graph,
@@ -366,3 +375,63 @@ def test_limit_tree_degree(g):
     assert width(shaped) == width(d)
     adj = shaped.adjacency()
     assert all(len(nb) <= 3 for nb in adj.values())
+
+
+def _pipeline_text(g: Graph, d) -> str:
+    """The normal-form .td and .emb that `linewidth normalize` writes, then
+    the lg-to-g .td, for one decomposition of L(g)."""
+    form = normalize_line_decomposition(d, g)
+    dec = form.decomposition
+    emb = LeafEmbedding(dec.nodes, dec.tree_edges, form.base.by_vertex)
+    lg_to_g = line_to_graph_decomposition(d, g)
+    return format_td(dec, g) + format_emb(emb, g) + format_td(lg_to_g, g)
+
+
+# sha256 of _pipeline_text over the corpus below: it moves with any byte of
+# the normal form, its leaf embedding or the lg-to-g decomposition
+PIPELINE_SHA256 = "8dc350bdbf8408d3ccd065adc1d20e2dcdc16815513d84d73f50bba9a82e4e9a"
+
+
+def test_pipeline_bytes_are_pinned():
+    rng = random.Random(1409)
+    corpus = []
+    while len(corpus) < 40:
+        n = rng.randint(2, 7)
+        pairs = list(combinations(range(1, n + 1), 2))
+        corpus.append(Graph(n, rng.sample(pairs, rng.randint(1, min(len(pairs), 10)))))
+    corpus += [
+        generate(FamilySpec(family, params))
+        for family, params in [
+            ("complete-bipartite", (3, 2)),
+            ("path-power", (7, 2)),
+            ("cycle-power", (5, 1)),
+            ("cycle-power", (7, 2)),
+            ("cycle-power-matched", (7, 2)),
+        ]
+    ]
+    digest = hashlib.sha256()
+    for g in corpus:
+        lg, _ = line_graph(g)
+        path = exact_pathwidth(lg).decomposition
+        for d in (
+            retag_line(exact_treewidth(lg).decomposition),
+            PathDecomposition(path.bags, SUBJECT_LINE),
+            decomposition_from_embedding(min_tree_congestion(g).embedding, g)[0],
+        ):
+            digest.update(_pipeline_text(g, d).encode("ascii"))
+    assert digest.hexdigest() == PIPELINE_SHA256
+
+
+def test_line_to_graph_patches_the_child_side_of_the_triangle():
+    # the triangle's caterpillar witness leaves the ends of edge 13 in no
+    # common bag, and the tree edge between their bags has vertex 3's side
+    # as the parent, so 3 is added to the child bag that holds 1
+    g = complete_graph(3)
+    d = decomposition_from_embedding(min_tree_congestion(g).embedding, g)[0]
+    out = line_to_graph_decomposition(d, g)
+    assert validate(out, g).ok
+    assert width(out) <= width(d) + 1
+    assert format_td(out, g) == (
+        "s td 6 3 3\nb 1 3\nb 2 2\nb 3 1\nb 4 1 2 3\nb 5 1 2\nb 6 2 3\n"
+        "1 6\n2 5\n3 5\n4 5\n4 6\n"
+    )

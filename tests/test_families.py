@@ -21,6 +21,7 @@ from linewidth.graphs import (
     format_gr,
     line_graph,
 )
+from oracles import cycle_power
 
 
 def test_spec_parsing_and_validation():
@@ -51,6 +52,12 @@ def test_generate_cycle_power_degrees():
     g = generate(FamilySpec("cycle-power", (8, 2)))
     assert g.edge_count == 16
     assert all(g.degree(v) == 4 for v in g.vertices)
+
+
+def test_generate_cycle_power_matches_the_circular_distance_definition():
+    for n in range(3, 41):
+        for k in range(1, (n - 1) // 2 + 1):
+            assert generate(FamilySpec("cycle-power", (n, k))) == cycle_power(n, k)
 
 
 def test_generate_matched_min_degree():

@@ -1,12 +1,16 @@
 """Closed-form bounds on the treewidth/pathwidth of a line graph, the
 constructive upper-bound procedures behind them, and an aggregated report.
 
-Lower bounds come from the average degree (on a densest minimal subgraph),
-the minimum degree (per component), the clique of edges at a max-degree
-vertex, and the graph's own treewidth.  Upper bounds come from expanding a
-decomposition of g bag-by-bag into incident edges, and from the balanced
-edge-split construction that places high-degree vertices on subdivision
-nodes chosen to split their neighbourhoods evenly.
+The report's rows, in order: the lower bounds `avg-degree` (on a densest
+minimal subgraph) and `min-degree` (per component), then the bounds built
+from tw(G), pw(G) and the maximum degree: `endpoint-halving`,
+`incident-expansion-tw`/`-pw` (a decomposition of g expanded bag by bag into
+incident edges), `graph-treewidth`, `star-clique` (the clique of edges at a
+max-degree vertex) and `balanced-split-tw`/`-pw` (high-degree vertices
+placed on subdivision nodes that split their neighbourhoods evenly), then
+the cutwidth sandwich `cutwidth` <= pw(L) <= `cutwidth-slack`.  Two notes
+follow: `conjectured-half-expansion` and `smaller-upper`, the smaller of
+the two tw(L) upper bounds built from tw(G).
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ class AvgDegreeBound:
     subgraph_vertices: tuple[int, ...]
 
 
-def avg_degree_lower_bound(g: Graph, max_subgraph_vertices: int = 18) -> AvgDegreeBound:
-    verts = minimal_dense_vertex_set(g, max_subgraph_vertices)
+def avg_degree_lower_bound(g: Graph) -> AvgDegreeBound:
+    verts = minimal_dense_vertex_set(g)
     h = induced_subgraph(g, verts)
     d = degree_stats(h).avg_degree
     raw = d * d / 8 + Fraction(3, 4) * d - 2
@@ -93,24 +97,8 @@ def min_degree_lower_bound(g: Graph) -> int:
     return best
 
 
-def elementary_bounds(g: Graph, tw_g: int | None, pw_g: int | None) -> tuple[BoundEntry, ...]:
-    """The bounds built from tw(G), pw(G) and the maximum degree alone; an
-    entry built from a width given as None is left out."""
-    delta = g.max_degree()
-    entries = []
-    if tw_g is not None:
-        entries += [
-            BoundEntry("endpoint-halving", "lower", TARGET_TW, Fraction(tw_g + 1, 2) - 1),
-            BoundEntry("incident-expansion-tw", "upper", TARGET_TW, (tw_g + 1) * delta - 1),
-        ]
-    if pw_g is not None:
-        entries.append(
-            BoundEntry("incident-expansion-pw", "upper", TARGET_PW, (pw_g + 1) * delta - 1)
-        )
-    if tw_g is not None:
-        entries.append(BoundEntry("graph-treewidth", "lower", TARGET_TW, tw_g - 1))
-    entries.append(BoundEntry("star-clique", "lower", TARGET_TW, delta - 1))
-    return tuple(entries)
+def incident_expansion_bound(w: int, delta: int) -> int:
+    return (w + 1) * delta - 1
 
 
 def balanced_split_bound_tree(tw_g: int, delta: int) -> Fraction:
@@ -306,77 +294,82 @@ def format_value(value) -> str:
     return str(value)
 
 
-# the entries and notes of bounds_report built from each exact width of g
-_BUILT_FROM_TW = (
-    "endpoint-halving",
-    "incident-expansion-tw",
-    "graph-treewidth",
-    "balanced-split-tw",
-    "conjectured-half-expansion",
-    "smaller-upper",
+def _smaller_upper(tw_g: int, delta: int) -> str:
+    tight = incident_expansion_bound(tw_g, delta) <= balanced_split_bound_tree(tw_g, delta)
+    return "incident-expansion-tw" if tight else "balanced-split-tw"
+
+
+# what the report rows are built from, solved once each in this order: the
+# average-degree bound on a densest subgraph, the minimum-degree bound, and
+# the exact tw, pw and cutwidth of g
+_SOURCES = {
+    "avg": lambda g: avg_degree_lower_bound(g).integer_bound,
+    "min": min_degree_lower_bound,
+    "tw": lambda g: exact_treewidth(g).width,
+    "pw": lambda g: exact_pathwidth(g).width,
+    "cw": lambda g: cutwidth_solver(g).value,
+}
+
+# the report rows in order, entries before notes: name, kind, target, the
+# source it is built from (None: the max degree alone), and its value as a
+# function of that source's value w and the max degree d
+_ROWS = (
+    ("avg-degree", "lower", TARGET_TW, "avg", lambda w, d: w),
+    ("min-degree", "lower", TARGET_TW, "min", lambda w, d: w),
+    ("endpoint-halving", "lower", TARGET_TW, "tw", lambda w, d: Fraction(w + 1, 2) - 1),
+    ("incident-expansion-tw", "upper", TARGET_TW, "tw", incident_expansion_bound),
+    ("incident-expansion-pw", "upper", TARGET_PW, "pw", incident_expansion_bound),
+    ("graph-treewidth", "lower", TARGET_TW, "tw", lambda w, d: w - 1),
+    ("star-clique", "lower", TARGET_TW, None, lambda w, d: d - 1),
+    ("balanced-split-tw", "upper", TARGET_TW, "tw", balanced_split_bound_tree),
+    ("balanced-split-pw", "upper", TARGET_PW, "pw", balanced_split_bound_path),
+    ("cutwidth", "lower", TARGET_PW, "cw", lambda w, d: w),
+    ("cutwidth-slack", "upper", TARGET_PW, "cw", lambda w, d: w + d // 2 - 1),
+    ("conjectured-half-expansion", "note", TARGET_TW, "tw", lambda w, d: Fraction(w + 1, 2) * d - 1),
+    ("smaller-upper", "note", TARGET_TW, "tw", _smaller_upper),
 )
-_BUILT_FROM_PW = ("incident-expansion-pw", "balanced-split-pw")
-_BUILT_FROM_CW = ("cutwidth", "cutwidth-slack")
 
 
-def bounds_report(g: Graph, compute_exact: bool = False, subgraph_limit: int = 18) -> BoundsReport:
+def bounds_report(g: Graph, compute_exact: bool = False) -> BoundsReport:
     """All closed-form bounds side by side, with exact line-graph widths on
     request.  Internal consistency (every lower <= every upper, and both
     against exact values when present) is enforced before returning.
 
-    When a solver refuses g for its size, the entries and notes built from
-    that value are left out and each is named in a ``skipped`` note; with
-    compute_exact the refusal is raised instead."""
+    When a solver refuses g for its size, the rows built from its value are
+    left out and each is named in a ``skipped`` note, in row order; with
+    compute_exact a refusal of a width solver is raised instead."""
     if g.n == 0:
         raise DomainError("undefined on the empty graph")
     if g.edge_count == 0:
         raise DomainError("the line graph is empty; bounds are vacuous")
+    delta = g.max_degree()
+    solved: dict = {None: None}  # star-clique needs no solver
+    refused: dict[str, SolverLimitError] = {}
+    for source, solve in _SOURCES.items():
+        if source == "cw" and delta < 2:
+            continue  # on a matching, cw(g) = 1 exceeds pw(L) = 0
+        try:
+            solved[source] = solve(g)
+        except SolverLimitError as exc:
+            if compute_exact and source != "avg":
+                raise
+            refused[source] = exc
     entries: list[BoundEntry] = []
     notes: list[str] = []
-    skipped = []
-    try:
-        avg = avg_degree_lower_bound(g, subgraph_limit)
-        entries.append(BoundEntry("avg-degree", "lower", TARGET_TW, avg.integer_bound))
-    except SolverLimitError as exc:
-        skipped.append(f"skipped avg-degree: {exc}")
-    entries.append(BoundEntry("min-degree", "lower", TARGET_TW, min_degree_lower_bound(g)))
-
-    def solve(solver, built_from):
-        try:
-            return solver()
-        except SolverLimitError as exc:
-            if compute_exact:
-                raise
-            skipped.extend(f"skipped {name}: {exc}" for name in built_from)
-            return None
-
-    delta = g.max_degree()
-    tw_g = solve(lambda: exact_treewidth(g).width, _BUILT_FROM_TW)
-    pw_g = solve(lambda: exact_pathwidth(g).width, _BUILT_FROM_PW)
-    entries.extend(elementary_bounds(g, tw_g, pw_g))
-    if tw_g is not None:
-        t4 = balanced_split_bound_tree(tw_g, delta)
-        entries.append(BoundEntry("balanced-split-tw", "upper", TARGET_TW, t4))
-        notes.append(
-            f"conjectured-half-expansion {TARGET_TW} "
-            f"{format_value(Fraction(tw_g + 1, 2) * delta - 1)}"
-        )
-        eq2 = next(e.value for e in entries if e.name == "incident-expansion-tw")
-        tighter = "incident-expansion-tw" if eq2 <= t4 else "balanced-split-tw"
-        notes.append(f"smaller-upper {TARGET_TW} {tighter}")
-    if pw_g is not None:
-        bs_pw = balanced_split_bound_path(pw_g, delta)
-        entries.append(BoundEntry("balanced-split-pw", "upper", TARGET_PW, bs_pw))
-    if delta >= 2:
-        cw = solve(lambda: cutwidth_solver(g).value, _BUILT_FROM_CW)
-        if cw is not None:
-            entries.append(BoundEntry("cutwidth", "lower", TARGET_PW, cw))
-            entries.append(BoundEntry("cutwidth-slack", "upper", TARGET_PW, cw + delta // 2 - 1))
+    for name, kind, target, source, value in _ROWS:
+        if source in solved:
+            x = value(solved[source], delta)
+            if kind == "note":
+                notes.append(f"{name} {target} {format_value(x)}")
+            else:
+                entries.append(BoundEntry(name, kind, target, x))
+    for source, exc in refused.items():
+        notes += [f"skipped {name}: {exc}" for name, _, _, built, _ in _ROWS if built == source]
     exact: dict[str, int] = {}
     if compute_exact:
         lg, _ = line_graph(g)
         exact[TARGET_TW] = exact_treewidth(lg).width
         exact[TARGET_PW] = exact_pathwidth(lg).width
-    report = BoundsReport(tuple(entries), exact, tuple(notes + skipped))
+    report = BoundsReport(tuple(entries), exact, tuple(notes))
     report.check_consistency()
     return report

@@ -190,9 +190,8 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
     active, masks = _active_masks(g)
     m = len(active)
     kernels.check_limit("path congestion solver", m, max_vertices)
-    if m == 2:
-        cert = CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
-        return cert
+    if m == 2:  # the kernel backtracks (1, 0): keep .ord and caterpillar .emb lower first
+        return CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
     value, order = kernels.solve("path_congestion_table", masks)
     ordering = LinearOrdering(active[u] for u in order)
     return CongestionCertificate(value, "path-vertex", ordering=ordering)

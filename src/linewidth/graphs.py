@@ -153,7 +153,10 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(verts), edges)
 
 
-def minimal_dense_vertex_set(g: Graph, max_vertices: int = 18) -> tuple[int, ...]:
+DENSE_LIMIT = 18  # vertices of g for the exhaustive densest-subgraph search
+
+
+def minimal_dense_vertex_set(g: Graph, max_vertices: int = DENSE_LIMIT) -> tuple[int, ...]:
     """Vertex set of an induced subgraph maximizing average degree, with the
     fewest vertices among maximizers (ties broken toward the lexicographically
     least set).  The result H satisfies d(H) >= d(g) and deleting any

@@ -1,16 +1,19 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 
 from conftest import graphs
+from linewidth import bounds
 from linewidth.bounds import (
     TARGET_PW,
     TARGET_TW,
     avg_degree_lower_bound,
     balanced_split_bound_tree,
     bounds_report,
-    elementary_bounds,
     improved_upper_construction,
     min_degree_lower_bound,
     tree_line_decomposition,
@@ -26,9 +29,11 @@ from linewidth.families import FamilySpec, generate
 from linewidth.graphs import (
     DomainError,
     Graph,
+    SolverLimitError,
     complete_graph,
     cycle_graph,
     line_graph,
+    minimal_dense_vertex_set,
     path_graph,
     star_graph,
 )
@@ -62,21 +67,13 @@ def test_min_degree_bound_per_component():
     assert min_degree_lower_bound(g) == 4
 
 
-def test_elementary_bounds_k4():
-    entries = {e.name: e for e in elementary_bounds(complete_graph(4), 3, 3)}
-    assert entries["incident-expansion-tw"].value == 11
-    assert entries["star-clique"].value == 2
-    assert entries["graph-treewidth"].value == 2
-    assert entries["endpoint-halving"].value == 1
-
-
 def test_elementary_bounds_star_and_edge():
     t = star_graph(5)
-    entries = {e.name: e for e in elementary_bounds(t, 1, 1)}
+    entries = {e.name: e for e in bounds_report(t).entries}
     assert entries["incident-expansion-tw"].value == 9
     assert entries["star-clique"].value == 4  # = exact tw(L) for trees
     k2 = complete_graph(2)
-    entries = {e.name: e for e in elementary_bounds(k2, 1, 1)}
+    entries = {e.name: e for e in bounds_report(k2).entries}
     assert entries["endpoint-halving"].value == 0
     assert entries["star-clique"].value == 0
     assert exact_treewidth(line_graph(k2)[0]).width == 0
@@ -177,10 +174,15 @@ def test_bounds_report_serialization_shape():
         assert line.split()[0] in ("bound", "exact", "note")
 
 
-def test_bounds_report_skips_avg_degree_past_subgraph_limit():
+def test_bounds_report_skips_avg_degree_past_subgraph_limit(monkeypatch):
     g = cycle_graph(5)
     full = bounds_report(g)
-    rep = bounds_report(g, subgraph_limit=4)
+
+    def limited(h):
+        return minimal_dense_vertex_set(h, max_vertices=4)
+
+    monkeypatch.setattr(bounds, "minimal_dense_vertex_set", limited)
+    rep = bounds_report(g)
     assert rep.entries == tuple(e for e in full.entries if e.name != "avg-degree")
     assert rep.notes == full.notes + (
         "skipped avg-degree: minimal dense subgraph search: "
@@ -210,3 +212,48 @@ def test_improved_construction_meets_closed_form(g):
         built = improved_upper_construction(g, dec)
         assert validate(built.decomposition, g).ok
         assert built.width <= built.closed_form
+
+
+def _report_bytes(g: Graph) -> bytes:
+    """bounds_report(g) as text, then with compute_exact: the text, or the
+    refusal it raises."""
+    out = [bounds_report(g).to_text()]
+    try:
+        out.append(bounds_report(g, compute_exact=True).to_text())
+    except SolverLimitError as exc:
+        out.append(f"raised {exc}\n")
+    return "".join(out).encode("ascii")
+
+
+def _refuse_dense_search(g, max_vertices=None):
+    raise SolverLimitError("minimal dense subgraph search", g.n, 2)
+
+
+# sha256 of _report_bytes over the corpus below, the last three graphs again
+# with a refusing dense-subgraph search: it moves with any entry, note, value
+# or order of the report
+REPORT_SHA256 = "f098341269b311e3255853ad8eda3be8bac802bc0e684d7648a8c2c95551cd61"
+
+
+def test_bounds_report_bytes_are_pinned(monkeypatch):
+    rng = random.Random(6810)
+    corpus = []
+    while len(corpus) < 40:
+        n = rng.randint(2, 9)
+        pairs = list(combinations(range(1, n + 1), 2))
+        corpus.append(Graph(n, rng.sample(pairs, rng.randint(1, min(len(pairs), 12)))))
+    corpus += [
+        Graph(6, [(1, 2), (3, 4), (5, 6)]),  # a matching: no cutwidth rows
+        Graph(5, [(2, 4)]),  # one edge and isolated vertices
+        Graph(7, [(1, 2), (1, 3), (1, 4), (2, 3), (5, 6)]),
+        star_graph(5),
+        generate(FamilySpec("cycle-power", (8, 2))),
+        generate(FamilySpec("cycle-power", (21, 2))),  # tw, pw and cw refused
+    ]
+    digest = hashlib.sha256()
+    for g in corpus:
+        digest.update(_report_bytes(g))
+    monkeypatch.setattr(bounds, "minimal_dense_vertex_set", _refuse_dense_search)
+    for g in corpus[-3:]:
+        digest.update(_report_bytes(g))
+    assert digest.hexdigest() == REPORT_SHA256

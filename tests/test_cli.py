@@ -1,7 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,25 @@ def test_exact_all_quantities(tmp_path, capsys):
         code, out, _ = run(["exact", q, gr, "--no-witness"], capsys)
         assert code == 0
         assert out == f"{q} {value}\n"
+
+
+@pytest.mark.parametrize(
+    "graph, order, embedding",
+    [
+        ("p tw 2 1\n1 2\n", "1 2", "s emb 2 2\nt 1 2\nl 1 1\nl 2 2\n"),
+        ("p tw 3 1\n1 2\n", "1 2", "s emb 2 3\nt 1 2\nl 1 1\nl 2 2\n"),
+        ("p tw 3 1\n2 3\n", "2 3", "s emb 2 3\nt 1 2\nl 1 2\nl 2 3\n"),
+    ],
+)
+def test_exact_witnesses_on_one_edge(tmp_path, capsys, graph, order, embedding):
+    # the two ends of the edge keep their order, lower vertex first
+    gr = tmp_path / "e.gr"
+    gr.write_text(graph)
+    for q in ("pcon", "con"):
+        code, out, _ = run(["exact", q, gr], capsys)
+        assert code == 0 and out.splitlines()[0] == f"{q} 1"
+    written = [(tmp_path / name).read_text() for name in ("e.pcon.ord", "e.con.emb")]
+    assert written == [f"s ord 2\n{order}\n", embedding]
 
 
 def test_bounds_cli_matches_spec_example(tmp_path, capsys):
@@ -148,6 +169,19 @@ def test_bounds_past_the_solver_limit_skips_what_needs_exact_widths(tmp_path, ca
     code, _, err = run(["bounds", gr, "--exact"], capsys)
     assert code == 1
     assert err == "error: treewidth solver: instance size 21 exceeds the limit of 20\n"
+
+
+def test_readme_skip_list_follows_the_report(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Solver limits\n")[1].split("\n## ")[0].splitlines()
+    first = next(i for i, line in enumerate(section) if line.startswith("- past "))
+    documented = re.findall(r"`([^`]+)`", " ".join(takewhile(str.strip, section[first:])))
+    gr = tmp_path / "c21.gr"
+    run(["gen", "cycle-power", "21", "2", "-o", gr], capsys)
+    _, out, _ = run(["bounds", gr], capsys)
+    skipped = [line.split(":")[0].split()[-1] for line in out.splitlines() if " skipped " in line]
+    assert documented[0] == "avg-degree"
+    assert documented == skipped
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

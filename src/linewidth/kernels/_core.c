@@ -62,25 +62,24 @@ static int
 fill_treewidth(const u64 *adj, int n, cell *table)
 {
     for (u64 s = 1; s < (u64)1 << n; s++) {
+        u64 comp;
+        int reach = component_reach(adj, s, bit_index(s & -s), &comp);
+        if (comp != s) { /* t[S] is the larger of t over the lowest component and the rest */
+            int a = table[comp], b = table[s ^ comp];
+            table[s] = (cell)(a > b ? a : b);
+            continue;
+        }
         int best = BIG;
         u64 rest = s;
-        while (rest) {
-            u64 comp;
-            int reach = component_reach(adj, s, bit_index(rest & -rest), &comp);
-            rest &= ~comp;
-            int prior = BIG;
-            while (comp) {
-                u64 low = comp & -comp;
-                comp ^= low;
-                int prev = table[s ^ low];
-                if (prev < prior)
-                    prior = prev;
-            }
-            int cand = prior > reach ? prior : reach;
-            if (cand < best)
-                best = cand;
+        /* every vertex of a connected S costs reach */
+        while (rest && best > reach) {
+            u64 low = rest & -rest;
+            rest ^= low;
+            int prev = table[s ^ low];
+            if (prev < best)
+                best = prev;
         }
-        table[s] = (cell)best;
+        table[s] = (cell)(best > reach ? best : reach);
     }
     return 0;
 }
@@ -88,21 +87,34 @@ fill_treewidth(const u64 *adj, int n, cell *table)
 static int
 fill_vertex_separation(const u64 *adj, int n, cell *table)
 {
+    u64 full = ((u64)1 << n) - 1;
+    /* nbrs[T] = N(T), the union of T's masks */
+    uint32_t *nbrs = PyMem_Malloc(sizeof(uint32_t) << n);
+    if (nbrs == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    nbrs[0] = 0;
+    for (u64 t = 1; t < (u64)1 << n; t++) {
+        u64 low = t & -t;
+        nbrs[t] = nbrs[t ^ low] | (uint32_t)adj[bit_index(low)];
+    }
     for (u64 s = 1; s < (u64)1 << n; s++) {
+        /* vertices of S with a neighbour outside */
+        int border = bit_count(nbrs[full ^ s] & s);
         int best = BIG;
-        int border = 0;
         u64 rest = s;
-        while (rest) {
+        /* once some t[S-v] <= border(S), t[S] is border(S) */
+        while (rest && best > border) {
             u64 low = rest & -rest;
             rest ^= low;
-            if (adj[bit_index(low)] & ~s)
-                border += 1;
             int prev = table[s ^ low];
             if (prev < best)
                 best = prev;
         }
         table[s] = (cell)(best > border ? best : border);
     }
+    PyMem_Free(nbrs);
     return 0;
 }
 
@@ -146,7 +158,8 @@ fill_path_congestion(const u64 *adj, int n, cell *table)
         int cut = table[s];
         int best = BIG;
         u64 rest = s;
-        while (rest) {
+        /* every candidate is at least cut(S) */
+        while (rest && best > cut) {
             u64 low = rest & -rest;
             rest ^= low;
             int prev = table[s ^ low];

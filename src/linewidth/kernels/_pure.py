@@ -6,18 +6,24 @@ is the answer.  The four ordering kernels fill
 
     t[S] = min over v in S of max(t[S-v], c(S, v)),
 
-where S is placed (or eliminated) first and v last in S.  No kernel
-recomputes its cost c for each pair (S, v):
+where S is placed (or eliminated) first and v last in S.  Each kernel's
+cost has a lower bound that depends on S alone, and its min loop over v
+stops once the best candidate so far meets that bound, as no other v gives
+less:
 
 * ``treewidth_table``: c(S, v) is the degree of v when eliminated after
-  S-v.  Every v in a component C of G[S] sees exactly N(C) - S, so c is one
-  ``component_reach`` per component.  t[full] is the treewidth.
-* ``vertex_separation_table``: c(S) is the number of vertices of S with a
-  neighbour outside S, counted inline.  t[full] is the pathwidth.
+  S-v, |N(C) - S| for the component C of v in G[S].  That cost reads only
+  the part of the ordering inside C, so t[S] is the largest t over the
+  components of G[S]: where the component C of S's lowest vertex is not S,
+  t[S] = max(t[C], t[S-C]).  Where it is, every v costs |N(S) - S|, read
+  from the same ``component_reach``.  t[full] is the treewidth.
+* ``vertex_separation_table``: c(S) is the border of S, the vertices of S
+  with a neighbour outside S, |N(full - S) & S| from a table of the
+  neighbourhoods N(T) of all subsets T.  t[full] is the pathwidth.
 * ``cutwidth_table``: c(S) = cut(S), the number of edges leaving S.
 * ``path_congestion_table``: c(S, v) = cut(S) + |N(v) & S|, the edges
-  covering position |S| with v there.  t[full] is pw(L(G)) + 1 for the
-  graph restricted to the placed vertices.
+  covering position |S| with v there, never below cut(S).  t[full] is
+  pw(L(G)) + 1 for the graph restricted to the placed vertices.
 
 ``tree_congestion_table`` splits instead of ordering: t[{v}] = deg v and
 
@@ -80,37 +86,41 @@ def treewidth_table(masks):
     n = _check(masks)
     table = [0] * (1 << n)
     for s in range(1, 1 << n):
+        comp, reach = component_reach(masks, s, (s & -s).bit_length() - 1)
+        if comp != s:  # t[S] is the larger of t over the lowest component and the rest
+            a = table[comp]
+            b = table[s ^ comp]
+            table[s] = a if a > b else b
+            continue
         best = _BIG
         rest = s
-        while rest:
-            comp, reach = component_reach(masks, s, (rest & -rest).bit_length() - 1)
-            rest &= ~comp
-            prior = _BIG
-            while comp:
-                low = comp & -comp
-                comp ^= low
-                prev = table[s ^ low]
-                if prev < prior:
-                    prior = prev
-            cand = prior if prior > reach else reach
-            if cand < best:
-                best = cand
-        table[s] = best
+        while rest and best > reach:  # every vertex of a connected S costs reach
+            low = rest & -rest
+            rest ^= low
+            prev = table[s ^ low]
+            if prev < best:
+                best = prev
+        table[s] = best if best > reach else reach
     return table
 
 
 def vertex_separation_table(masks):
+    from array import array
+
     n = _check(masks)
+    full = (1 << n) - 1
+    nbrs = array("I", [0]) * (1 << n)  # nbrs[T] = N(T), the union of T's masks
+    for t in range(1, 1 << n):
+        low = t & -t
+        nbrs[t] = nbrs[t ^ low] | masks[low.bit_length() - 1]
     table = [0] * (1 << n)
     for s in range(1, 1 << n):
+        border = (nbrs[full ^ s] & s).bit_count()  # vertices of S with a neighbour outside
         best = _BIG
-        border = 0
         rest = s
-        while rest:
+        while rest and best > border:  # once some t[S-v] <= border(S), t[S] is border(S)
             low = rest & -rest
             rest ^= low
-            if masks[low.bit_length() - 1] & ~s:
-                border += 1
             prev = table[s ^ low]
             if prev < best:
                 best = prev
@@ -152,7 +162,7 @@ def path_congestion_table(masks):
         cut = table[s]
         best = _BIG
         rest = s
-        while rest:
+        while rest and best > cut:  # every candidate is at least cut(S)
             low = rest & -rest
             rest ^= low
             prev = table[s ^ low]

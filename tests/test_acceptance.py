@@ -22,7 +22,7 @@ from linewidth.congestion import min_path_congestion, min_tree_congestion
 from linewidth.decompositions import validate, width
 from linewidth.exact import exact_pathwidth, exact_treewidth
 from linewidth.families import FamilySpec, bipartite_lower_check, generate, sharp_embedding
-from linewidth.graphs import line_graph, star_graph
+from linewidth.graphs import complete_graph, line_graph, star_graph
 from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
 from linewidth.smallgraphs import connected_graphs, exhaustive_suite, random_suite, random_tree
 
@@ -188,4 +188,16 @@ def test_criterion_12_complete_graph_consistency():
         rep = bounds_report(g, compute_exact=True)
         assert all(e.value <= tw_line for e in rep.lowers(TARGET_TW))
         assert all(e.value >= tw_line for e in rep.uppers(TARGET_TW))
-    report(12, True, "L(K_4) = 4 and L(K_5) sit inside every degree bound")
+    # the minimum-degree bound is exact for K_n: pw(L(K_n)) and tw(L(K_n)) equal it
+    for n in range(3, 13):
+        g = complete_graph(n)
+        bound = min_degree_lower_bound(g)
+        assert min_path_congestion(g).value - 1 == bound
+        if n <= 10:
+            assert min_tree_congestion(g).value - 1 == bound
+    report(
+        12,
+        True,
+        "L(K_4) = 4 and L(K_5) sit inside every degree bound, which pw(L(K_n)) "
+        "meets for n = 3..12 and tw(L(K_n)) for n = 3..10",
+    )

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -292,6 +293,84 @@ def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+FUZZ_TOKENS = ["0", "-1", "7", "13", "99", "x", "2.5", "p", "s", "b", "t", "l", "td", "emb"]
+FUZZ_LINES = ["", "c note", "p tw 3 1", "s td 1 1 1", "b 1", "1 1", "t 1 1", "l 1 1"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Delete, duplicate, replace or insert one line, or one token of a line."""
+    lines = text.splitlines() or [""]
+    i = rng.randrange(len(lines))
+    op = rng.choice(("delete", "duplicate", "replace", "insert"))
+    if rng.random() < 0.5:
+        items, pool = lines, FUZZ_LINES + lines
+    else:
+        items = lines[i].split()
+        pool = FUZZ_TOKENS + items
+    j = rng.randrange(len(items)) if items else 0
+    if op == "delete" and items:
+        del items[j]
+    elif op == "duplicate" and items:
+        items.insert(j, items[j])
+    elif op == "replace" and items:
+        items[j] = rng.choice(pool)
+    else:
+        items.insert(j, rng.choice(pool))
+    if items is not lines:
+        lines[i] = " ".join(items)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_seeded_mutations_exit_0_or_1_with_an_error_line(tmp_path, capsys):
+    """Mutated .gr/.td/.emb/.ord files through validate, normalize, transform
+    and exact, in-process: every run exits 0 or 1, and a refusal says why."""
+    path = {name: str(tmp_path / name) for name in ("g.gr", "g.td", "g.emb", "g.ord", "line.td")}
+    (tmp_path / "g.gr").write_text("p tw 6 7\n1 2\n2 3\n1 3\n3 4\n4 5\n5 6\n4 6\n")
+    for argv in (
+        ["exact", "tw", path["g.gr"], "-o", path["g.td"]],
+        ["exact", "con", path["g.gr"], "-o", path["g.emb"]],
+        ["exact", "pcon", path["g.gr"], "-o", path["g.ord"]],
+        ["construct", "expand", path["g.td"], "--graph", path["g.gr"], "-o", path["line.td"]],
+    ):
+        assert run(argv, capsys)[0] == 0
+    out_td = str(tmp_path / "out.td")
+    runs = {  # the file mutated, and the commands that read it as "bad"
+        "g.gr": [
+            ["exact", "QUANTITY", "bad", "--no-witness"],
+            ["validate", path["line.td"], "--graph", "bad", "--line"],
+        ],
+        "g.td": [["validate", "bad", "--graph", path["g.gr"]]],
+        "g.emb": [["validate", "bad", "--graph", path["g.gr"]]],
+        "g.ord": [["validate", "bad", "--graph", path["g.gr"]]],
+        "line.td": [
+            ["validate", "bad", "--graph", path["g.gr"], "--line"],
+            ["normalize", "bad", "--graph", path["g.gr"], "-o", out_td],
+            ["transform", "lg-to-g", "bad", "--graph", path["g.gr"], "-o", out_td],
+        ],
+    }
+    originals = {name: (tmp_path / name).read_text() for name in runs}
+    rng = random.Random(20241019)
+    codes = set()
+    for k in range(300):
+        name = list(runs)[k % len(runs)]
+        text = originals[name]
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        bad = tmp_path / ("bad" + Path(name).suffix)
+        bad.write_text(text)
+        for argv in runs[name]:
+            quantity = rng.choice(("tw", "pw", "cw", "con", "pcon"))
+            argv = [{"bad": str(bad), "QUANTITY": quantity}.get(a, a) for a in argv]
+            code, out, err = run(argv, capsys)
+            codes.add(code)
+            assert code in (0, 1), (argv, text)
+            assert "Traceback" not in err
+            if code == 1:  # validate reports an invalid witness on stdout
+                refused = argv[0] == "validate" and out.startswith("invalid ")
+                assert err.startswith("error: ") or refused, (argv, text, out, err)
+    assert codes == {0, 1}
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,7 @@
+import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -27,10 +29,21 @@ def test_backend_is_reported():
     assert "pure-python" in kernels.backends()
 
 
+def sparse_graph(n: int, seed: int) -> Graph:
+    """A seeded G(n, m) with density 0.15-0.3: most of its vertex subsets
+    induce a disconnected graph, so the treewidth fill mostly splits them."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(n, rng.sample(pairs, round(len(pairs) * rng.uniform(0.15, 0.3))))
+
+
 @given(graphs(min_vertices=0, max_vertices=9))
 @example(Graph(0))
 @example(Graph(1))
 @example(Graph(9))
+@example(sparse_graph(12, 1))
+@example(sparse_graph(13, 2))
+@example(sparse_graph(14, 3))
 def test_backends_agree(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     for name in KERNELS:
@@ -60,6 +73,8 @@ def _earlier_order(name, masks, cost):
 @example(Graph(9))
 @example(complete_graph(9))
 @example(path_graph(9))
+@example(sparse_graph(11, 4))
+@example(sparse_graph(11, 5))
 def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     for name in KERNELS:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain errors (bad instance, solver limits,
-failed validation), 2 usage errors.  All output is plain text with stable
+failed validation), 2 usage errors.  A refusal writes an ``error:`` line to
+stderr, except one: ``validate`` given a well-formed ``.td`` that fails a
+decomposition condition prints ``invalid <condition>: <witness>`` to stdout
+and exits 1 with nothing on stderr.  All output is plain text with stable
 field ordering so runs can be compared byte for byte.
 """
 
@@ -124,14 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verification suites")
     vsub = p.add_subparsers(dest="what", required=True)
     pa = vsub.add_parser("appendix", help="exact-rational grid checks of the bound constants")
-    pa.add_argument("which", choices=("a", "b", "c"))
-    pa.add_argument(
-        "--s", type=_fraction, default="1/10", help="parameter s as a fraction, e.g. 1/10"
-    )
-    pa.add_argument("--parity", choices=("even", "odd"), default="even")
-    pa.add_argument("--resolution", type=int, default=None)
-    pa.add_argument("--mode", choices=("fast", "full"), default="fast")
-    pa.set_defaults(func=_cmd_verify_appendix)
+    checks = pa.add_subparsers(dest="which", required=True)
+    a = checks.add_parser("a", help="grid minimum of (1+s)(a+b) - a^2 - b^2")
+    b = checks.add_parser("b", help="grid minimum of (1+s)(a+b) - a^2 - b^2 - ab")
+    c = checks.add_parser("c", help="grid maximum of a1 + a2 + a3")
+    for check in (a, b):
+        check.add_argument(
+            "--s", type=_fraction, default="1/10", help="parameter s as a fraction, e.g. 1/10"
+        )
+    b.add_argument("--parity", choices=("even", "odd"), default="even")
+    for check in (a, b, c):
+        check.add_argument("--resolution", type=int, default=None)
+        check.set_defaults(func=_cmd_verify_appendix)
+    c.add_argument("--mode", choices=("fast", "full"), default="fast")
     pt = vsub.add_parser("theorems", help="equalities and sandwiches over the small-graph suites")
     pt.add_argument("--max-n", type=int, default=5)
     pt.add_argument("--random", type=int, default=100)

@@ -1,20 +1,21 @@
 """Solver kernels: compiled extension when available, pure Python otherwise.
 
-``BACKEND`` records which implementation was selected at import time.
-``backends()`` exposes every importable implementation so the benchmark can
-compare them; the tests build and load the compiled one themselves.
+``BACKEND`` records which implementation was selected at import time, and
+``backends()`` maps it and the pure one to their modules, so the benchmark
+can compare them; the tests build and load the compiled one themselves.
 
 ``solve(kernel, masks)`` is how the exact solvers reach the four ordering
-kernels: it fills the named table, backtracks it with that kernel's cost and
-keeps only the optimum and the ordering's vertex bits.  It is memoised on
-the kernel name and the masks tuple, which are all a fill reads, so a
-repeat solve soon after the first (``bounds_report`` after the solvers,
-``verify theorems``, the path incumbent of ``min_tree_congestion``) fills
-nothing.  The memo holds SOLVE_MEMO_SIZE results and no table.  The key is
-the masks, not the graph: callers map the bits back to their own vertex
-ids.  ``benchmarks/bench_kernels.py`` and the backend cross-check in the
-tests call the table functions of a backend directly and do not go
-through it.
+kernels: it fills the named table, backtracks it and keeps only the
+optimum and the ordering's vertex bits.  Only path congestion passes its
+cost to ``backtrack``; the other three costs never exceed t[S].  ``solve``
+is memoised on the kernel name and the masks tuple, which are all a fill
+reads, so a repeat solve soon after the first (``bounds_report`` after the
+solvers, ``verify theorems``, the path incumbent of
+``min_tree_congestion``) fills nothing.  The memo holds SOLVE_MEMO_SIZE
+results and no table.  The key is the masks, not the graph: callers map
+the bits back to their own vertex ids.  ``benchmarks/bench_kernels.py``
+and the backend cross-check in the tests call the table functions of a
+backend directly and do not go through it.
 """
 
 from functools import lru_cache
@@ -38,10 +39,6 @@ cutwidth_table = _impl.cutwidth_table
 path_congestion_table = _impl.path_congestion_table
 tree_congestion_table = _impl.tree_congestion_table
 
-# backtrack costs that the table alone does not give, independent of backend
-component_reach = _pure.component_reach
-cross_size = _pure.cross_size
-
 
 def check_limit(what: str, size: int, max_vertices: int) -> None:
     """Raise SolverLimitError when size exceeds max_vertices or
@@ -52,13 +49,16 @@ def check_limit(what: str, size: int, max_vertices: int) -> None:
         raise SolverLimitError(what, size, limit)
 
 
-def backtrack(table, n: int, cost) -> list[int]:
+def backtrack(table, n: int, cost=None) -> list[int]:
     """Vertex bits of an optimal ordering, first to last, read back from a
     subset-DP table with table[S] = min over v in S of max(table[S-v],
-    cost(S, v)).  Walking down from the full set, the lowest bit v that
-    attains table[S] is placed last in S, so the ordering is deterministic.
-    Where the cost depends on S alone, cost(S, v) = table[S] picks the same
-    v, since v attains table[S] exactly when table[S-v] <= table[S]."""
+    cost(S, v)).  Every candidate is at least table[S], so v attains it
+    exactly when table[S-v] <= table[S] and cost(S, v) <= table[S].  With
+    no cost the second test is skipped; that is right where c(S, v) never
+    exceeds table[S], as for a cost that is the kernel's bound on S, or the
+    treewidth cost |N(C) - S| = |N(C) - C| <= t[C] <= t[S] for the
+    component C of v in G[S].  The lowest such v is placed last in S, so
+    the ordering is deterministic."""
     order = []
     s = (1 << n) - 1
     while s:
@@ -68,24 +68,13 @@ def backtrack(table, n: int, cost) -> list[int]:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if max(table[s ^ low], cost(s, v)) == target:
+            if table[s ^ low] <= target and (cost is None or cost(s, v) <= target):
                 order.append(v)
                 s ^= low
                 break
     order.reverse()
     return order
 
-
-# The cost c(S, v) that each ordering kernel's recurrence reads, given its
-# masks and filled table.  Where it depends on S alone, table[S] stands in.
-_COSTS = {
-    "treewidth_table": lambda masks, table, s, v: component_reach(masks, s, v)[1],
-    "vertex_separation_table": lambda masks, table, s, v: table[s],
-    "cutwidth_table": lambda masks, table, s, v: table[s],
-    "path_congestion_table": lambda masks, table, s, v: (
-        cross_size(masks, s) + (masks[v] & s).bit_count()
-    ),
-}
 
 # holds the four ordering kernels of the last four graphs: the repeat solves
 # of a graph (its bound report, the path incumbent) follow its first ones
@@ -98,18 +87,15 @@ def solve(kernel: str, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     of an optimal ordering, first to last.  The table is looked up on this
     module at each call, so a kernel replaced here is the one that runs."""
     table = globals()[kernel](masks)
-    cost = _COSTS[kernel]
-    order = backtrack(table, len(masks), lambda s, v: cost(masks, table, s, v))
-    return table[-1], tuple(order)
+    cost = None
+    if kernel == "path_congestion_table":  # c(S, v) = cut(S) + |N(v) & S|
+        cost = lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count()
+    return table[-1], tuple(backtrack(table, len(masks), cost))
 
 
 def backends() -> dict:
-    """All importable kernel implementations, keyed by name."""
+    """The kernel implementations import found, keyed by name."""
     found = {"pure-python": _pure}
-    try:
-        from linewidth.kernels import _core
-
-        found["compiled"] = _core
-    except ImportError:
-        pass
+    if BACKEND == "compiled":
+        found["compiled"] = _impl
     return found

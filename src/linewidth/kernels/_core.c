@@ -1,6 +1,7 @@
 /* Compiled subset-DP kernels; _pure.py states the recurrences: the
 ordering recurrence t[S] = min over v in S of max(t[S-v], c(S, v)) with each
-kernel's cost, and the split recurrence of tree congestion.
+kernel's cost, and the split recurrence of tree congestion.  Vertex
+separation and cutwidth fill their bound on S and run the min loop of settle().
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
@@ -58,6 +59,28 @@ component_reach(const u64 *adj, u64 s, int v, u64 *comp)
     return bit_count(seen & ~s);
 }
 
+/* _settle in _pure.py: table[S] holds bound(S) on entry and
+   t[S] = max(bound(S), min over v in S of t[S-v]) on return */
+static void
+settle(cell *table, int n)
+{
+    for (u64 s = 1; s < (u64)1 << n; s++) {
+        int bound = table[s];
+        int best = BIG;
+        u64 rest = s;
+        /* once some t[S-v] <= bound(S), t[S] is bound(S) */
+        while (rest && best > bound) {
+            u64 low = rest & -rest;
+            rest ^= low;
+            int prev = table[s ^ low];
+            if (prev < best)
+                best = prev;
+        }
+        if (best > bound)
+            table[s] = (cell)best;
+    }
+}
+
 static int
 fill_treewidth(const u64 *adj, int n, cell *table)
 {
@@ -97,24 +120,13 @@ fill_vertex_separation(const u64 *adj, int n, cell *table)
     nbrs[0] = 0;
     for (u64 t = 1; t < (u64)1 << n; t++) {
         u64 low = t & -t;
-        nbrs[t] = nbrs[t ^ low] | (uint32_t)adj[bit_index(low)];
-    }
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        /* vertices of S with a neighbour outside */
-        int border = bit_count(nbrs[full ^ s] & s);
-        int best = BIG;
-        u64 rest = s;
-        /* once some t[S-v] <= border(S), t[S] is border(S) */
-        while (rest && best > border) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int prev = table[s ^ low];
-            if (prev < best)
-                best = prev;
-        }
-        table[s] = (cell)(best > border ? best : border);
+        u64 nb = nbrs[t ^ low] | adj[bit_index(low)];
+        nbrs[t] = (uint32_t)nb;
+        /* border(S) = |N(T) - T| for S = full - T */
+        table[full ^ t] = (cell)bit_count(nb & ~t);
     }
     PyMem_Free(nbrs);
+    settle(table, n);
     return 0;
 }
 
@@ -133,20 +145,7 @@ static int
 fill_cutwidth(const u64 *adj, int n, cell *table)
 {
     fill_cut_sizes(adj, n, table);
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        int cut = table[s];
-        int best = BIG;
-        u64 rest = s;
-        /* once some t[S-v] <= cut(S), t[S] = cut(S) */
-        while (rest && best > cut) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int prev = table[s ^ low];
-            if (prev < best)
-                best = prev;
-        }
-        table[s] = (cell)(best > cut ? best : cut);
-    }
+    settle(table, n);
     return 0;
 }
 

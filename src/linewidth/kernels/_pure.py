@@ -6,24 +6,28 @@ is the answer.  The four ordering kernels fill
 
     t[S] = min over v in S of max(t[S-v], c(S, v)),
 
-where S is placed (or eliminated) first and v last in S.  Each kernel's
-cost has a lower bound that depends on S alone, and its min loop over v
-stops once the best candidate so far meets that bound, as no other v gives
-less:
+where S is placed (or eliminated) first and v last in S.  Each cost has a
+lower bound that depends on S alone, and the min loop over v stops once the
+best candidate so far meets it, as no other v gives less.  Where the cost
+is the bound, t[S] = max(bound(S), min over v of t[S-v]): those kernels
+fill their bound table and ``_settle`` runs the one min loop over it.
 
+* ``vertex_separation_table``: bound(S) is the border of S, the vertices
+  of S with a neighbour outside.  With T = full - S it is |N(T) - T|, set
+  by the loop that fills the neighbourhoods N(T).  t[full] is the pathwidth.
+* ``cutwidth_table``: bound(S) = cut(S), the number of edges leaving S.
 * ``treewidth_table``: c(S, v) is the degree of v when eliminated after
   S-v, |N(C) - S| for the component C of v in G[S].  That cost reads only
   the part of the ordering inside C, so t[S] is the largest t over the
   components of G[S]: where the component C of S's lowest vertex is not S,
-  t[S] = max(t[C], t[S-C]).  Where it is, every v costs |N(S) - S|, read
-  from the same ``component_reach``.  t[full] is the treewidth.
-* ``vertex_separation_table``: c(S) is the border of S, the vertices of S
-  with a neighbour outside S, |N(full - S) & S| from a table of the
-  neighbourhoods N(T) of all subsets T.  t[full] is the pathwidth.
-* ``cutwidth_table``: c(S) = cut(S), the number of edges leaving S.
+  t[S] = max(t[C], t[S-C]), read in the same ascending pass.  Where it is,
+  every v costs |N(S) - S|, from the same ``component_reach``.  t[full] is
+  the treewidth.
 * ``path_congestion_table``: c(S, v) = cut(S) + |N(v) & S|, the edges
   covering position |S| with v there, never below cut(S).  t[full] is
-  pw(L(G)) + 1 for the graph restricted to the placed vertices.
+  pw(L(G)) + 1 for the graph restricted to the placed vertices.  It is the
+  one cost that can exceed t[S], so the only one an ordering is read back
+  with (``kernels.backtrack``).
 
 ``tree_congestion_table`` splits instead of ordering: t[{v}] = deg v and
 
@@ -82,6 +86,24 @@ def cross_size(masks, s: int) -> int:
     return count
 
 
+def _settle(table):
+    """Turn table[S] = bound(S) into t[S] = max(bound(S), min over v in S
+    of t[S-v]), in place and in ascending S, and return it."""
+    for s in range(1, len(table)):
+        bound = table[s]
+        best = _BIG
+        rest = s
+        while rest and best > bound:  # once some t[S-v] <= bound(S), t[S] is bound(S)
+            low = rest & -rest
+            rest ^= low
+            prev = table[s ^ low]
+            if prev < best:
+                best = prev
+        if best > bound:
+            table[s] = best
+    return table
+
+
 def treewidth_table(masks):
     n = _check(masks)
     table = [0] * (1 << n)
@@ -110,22 +132,13 @@ def vertex_separation_table(masks):
     n = _check(masks)
     full = (1 << n) - 1
     nbrs = array("I", [0]) * (1 << n)  # nbrs[T] = N(T), the union of T's masks
+    table = [0] * (1 << n)
     for t in range(1, 1 << n):
         low = t & -t
-        nbrs[t] = nbrs[t ^ low] | masks[low.bit_length() - 1]
-    table = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        border = (nbrs[full ^ s] & s).bit_count()  # vertices of S with a neighbour outside
-        best = _BIG
-        rest = s
-        while rest and best > border:  # once some t[S-v] <= border(S), t[S] is border(S)
-            low = rest & -rest
-            rest ^= low
-            prev = table[s ^ low]
-            if prev < best:
-                best = prev
-        table[s] = best if best > border else border
-    return table
+        nb = nbrs[t ^ low] | masks[low.bit_length() - 1]
+        nbrs[t] = nb
+        table[full ^ t] = (nb & ~t).bit_count()  # border(S) = |N(T) - T| for S = full - T
+    return _settle(table)
 
 
 def _cut_size_table(masks):
@@ -141,19 +154,7 @@ def _cut_size_table(masks):
 
 
 def cutwidth_table(masks):
-    table = _cut_size_table(masks)
-    for s in range(1, len(table)):
-        cut = table[s]
-        best = _BIG
-        rest = s
-        while rest and best > cut:  # once some t[S-v] <= cut(S), t[S] is cut(S)
-            low = rest & -rest
-            rest ^= low
-            prev = table[s ^ low]
-            if prev < best:
-                best = prev
-        table[s] = best if best > cut else cut
-    return table
+    return _settle(_cut_size_table(masks))
 
 
 def path_congestion_table(masks):

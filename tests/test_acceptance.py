@@ -139,7 +139,22 @@ def test_criterion_08_bipartite_lower_bound():
     for p, q in ((2, 2), (3, 2), (4, 2), (3, 3)):
         chk = bipartite_lower_check(p, q)
         assert chk.holds, (p, q, chk)
-    report(8, True, "pq/2 - 1 <= tw(L(K_pq)) for (2,2), (3,2), (4,2), (3,3)")
+    # beyond pq <= 20 through the theorem: tw(L(K_pp)) = con(K_pp) - 1, and
+    # K_pp has a path embedding as good as any tree embedding
+    expected = {3: 5, 4: 9, 5: 14, 6: 20, 7: 27}
+    for p, width in expected.items():
+        g = generate(FamilySpec("complete-bipartite", (p, p)))
+        con = min_tree_congestion(g, max_vertices=2 * p).value
+        assert con - 1 == min_path_congestion(g).value - 1 == width
+        assert width >= F(p * p, 2) - 1
+        if p <= 4:
+            assert exact_treewidth(line_graph(g)[0]).width == width
+    report(
+        8,
+        True,
+        "pq/2 - 1 <= tw(L(K_pq)) for (2,2), (3,2), (4,2), (3,3); "
+        "tw(L(K_pp)) = con - 1 = pcon - 1 = 5, 9, 14, 20, 27 for p = 3..7",
+    )
 
 
 def test_criterion_09_trees():

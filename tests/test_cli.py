@@ -387,6 +387,12 @@ def test_usage_error_exit_code(capsys):
         err = capsys.readouterr().err
         assert "argument --s: invalid fraction value" in err
         assert "Traceback" not in err
+    # each appendix check takes only the flags it reads
+    for args in (["c", "--s", "1/5"], ["a", "--parity", "odd"], ["b", "--mode", "full"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "appendix", *args])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_appendix_cli(capsys):

@@ -287,15 +287,17 @@ def min_tree_congestion(
     """Exact minimum vertex congestion over all leaf embeddings into
     sub-cubic trees.  Trees with all internal degrees equal to 3 suffice:
     degree-2 nodes can be contracted and unused leaves pruned without
-    raising congestion.  The value comes from the split DP; the witness is
-    the caterpillar of the best path embedding when that attains it, and
-    otherwise the first embedding in _first_fit's order that attains it."""
+    raising congestion.  A caterpillar is a tree, so the path congestion
+    pcon is an incumbent: the split DP fills min(t[S], pcon), and its last
+    entry min(con, pcon) is con.  The witness is the caterpillar of the
+    best path embedding when that attains it, and otherwise the first
+    embedding in _first_fit's order that attains it."""
     if g.edge_count == 0:
         raise DomainError("tree congestion is undefined for an edgeless graph")
     active, masks = _active_masks(g)
     kernels.check_limit("tree congestion solver", len(active), max_vertices)
-    value = kernels.tree_congestion_table(masks)[-1]
     path_cert = min_path_congestion(g, max_vertices)
+    value = kernels.tree_congestion_table(masks, path_cert.value)[-1]
     if path_cert.value == value:
         emb = caterpillar_embedding(path_cert.ordering, g)
     else:

@@ -11,8 +11,11 @@ cost to ``backtrack``; the other three costs never exceed t[S].  ``solve``
 is memoised on the kernel name and the masks tuple, which are all a fill
 reads, so a repeat solve soon after the first (``bounds_report`` after the
 solvers, ``verify theorems``, the path incumbent of
-``min_tree_congestion``) fills nothing.  The memo holds SOLVE_MEMO_SIZE
-results and no table.  The key is the masks, not the graph: callers map
+``min_tree_congestion``) fills nothing.  That incumbent pcon is also the
+cap of ``tree_congestion_table(masks, cap)``: con <= pcon, as a caterpillar
+is a tree, and the split DP fills min(t[S], cap), exact below the cap, so
+its last entry is con.  The tree table is not memoised.  The memo holds
+SOLVE_MEMO_SIZE results and no table.  The key is the masks, not the graph: callers map
 the bits back to their own vertex ids.  ``benchmarks/bench_kernels.py``
 and the backend cross-check in the tests call the table functions of a
 backend directly and do not go through it.

@@ -2,6 +2,11 @@
 ordering recurrence t[S] = min over v in S of max(t[S-v], c(S, v)) with each
 kernel's cost, and the split recurrence of tree congestion.  Vertex
 separation and cutwidth fill their bound on S and run the min loop of settle().
+Tree congestion takes an optional cap, the path incumbent in
+min_tree_congestion, and fills min(t[S], cap), exact below the cap: a subset
+with cut(S) >= cap gets cap with no split loop, as every split costs at least
+cut(S), and any other starts its loop at cap.  A negative cap raises
+ValueError, and a cap above BIG is no bound.
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
@@ -21,8 +26,9 @@ a 16-bit cell holds every entry.
 typedef uint64_t u64;
 typedef unsigned short cell; /* the item type of array('H') */
 
-/* returns 0, or -1 with an exception set */
-typedef int (*fill_fn)(const u64 *adj, int n, cell *table);
+/* returns 0, or -1 with an exception set; cap bounds the entries of the
+   tree-congestion fill, and the ordering fills take no bound and ignore it */
+typedef int (*fill_fn)(const u64 *adj, int n, int cap, cell *table);
 
 static PyObject *zero_cell; /* array('H', [0]), repeated into each table */
 
@@ -82,7 +88,7 @@ settle(cell *table, int n)
 }
 
 static int
-fill_treewidth(const u64 *adj, int n, cell *table)
+fill_treewidth(const u64 *adj, int n, int cap, cell *table)
 {
     for (u64 s = 1; s < (u64)1 << n; s++) {
         u64 comp;
@@ -108,7 +114,7 @@ fill_treewidth(const u64 *adj, int n, cell *table)
 }
 
 static int
-fill_vertex_separation(const u64 *adj, int n, cell *table)
+fill_vertex_separation(const u64 *adj, int n, int cap, cell *table)
 {
     u64 full = ((u64)1 << n) - 1;
     /* nbrs[T] = N(T), the union of T's masks */
@@ -142,7 +148,7 @@ fill_cut_sizes(const u64 *adj, int n, cell *table)
 }
 
 static int
-fill_cutwidth(const u64 *adj, int n, cell *table)
+fill_cutwidth(const u64 *adj, int n, int cap, cell *table)
 {
     fill_cut_sizes(adj, n, table);
     settle(table, n);
@@ -150,7 +156,7 @@ fill_cutwidth(const u64 *adj, int n, cell *table)
 }
 
 static int
-fill_path_congestion(const u64 *adj, int n, cell *table)
+fill_path_congestion(const u64 *adj, int n, int cap, cell *table)
 {
     fill_cut_sizes(adj, n, table);
     for (u64 s = 1; s < (u64)1 << n; s++) {
@@ -174,8 +180,9 @@ fill_path_congestion(const u64 *adj, int n, cell *table)
     return 0;
 }
 
+/* fills min(t[S], cap); cap = BIG is no bound, as no entry reaches it */
 static int
-fill_tree_congestion(const u64 *adj, int n, cell *table)
+fill_tree_congestion(const u64 *adj, int n, int cap, cell *table)
 {
     cell *cut = PyMem_Malloc(sizeof(cell) << n);
     if (cut == NULL) {
@@ -186,14 +193,15 @@ fill_tree_congestion(const u64 *adj, int n, cell *table)
     fill_cut_sizes(adj, n, cut);
     for (u64 s = 1; s < (u64)1 << n; s++) {
         u64 rest = s ^ (s & -s);
-        if (!rest) {
-            table[s] = cut[s]; /* deg v */
+        int cut_s = cut[s];
+        /* a singleton's deg v is cut(S); every split costs at least cut(S) */
+        if (!rest || cut_s >= cap) {
+            table[s] = (cell)(cut_s < cap ? cut_s : cap);
             continue;
         }
-        int cut_s = cut[s];
-        int best = BIG;
+        int best = cap;
         /* B = part, A = s - part holds the lowest vertex */
-        for (u64 part = rest; part; part = (part - 1) & rest) {
+        for (u64 part = rest; part && best > cut_s; part = (part - 1) & rest) {
             u64 other = s ^ part;
             int a = table[other], b = table[part];
             if (a < best && b < best) {
@@ -237,7 +245,7 @@ read_masks(PyObject *masks, u64 *adj)
 }
 
 static PyObject *
-run_kernel(PyObject *masks, fill_fn fill)
+run_kernel(PyObject *masks, fill_fn fill, int cap)
 {
     u64 adj[MAX_KERNEL_VERTICES];
     int n = read_masks(masks, adj);
@@ -251,7 +259,7 @@ run_kernel(PyObject *masks, fill_fn fill)
         Py_DECREF(table);
         return NULL;
     }
-    int failed = fill(adj, n, (cell *)view.buf);
+    int failed = fill(adj, n, cap, (cell *)view.buf);
     PyBuffer_Release(&view);
     if (failed) {
         Py_DECREF(table);
@@ -263,31 +271,50 @@ run_kernel(PyObject *masks, fill_fn fill)
 static PyObject *
 treewidth_table(PyObject *self, PyObject *masks)
 {
-    return run_kernel(masks, fill_treewidth);
+    return run_kernel(masks, fill_treewidth, BIG);
 }
 
 static PyObject *
 vertex_separation_table(PyObject *self, PyObject *masks)
 {
-    return run_kernel(masks, fill_vertex_separation);
+    return run_kernel(masks, fill_vertex_separation, BIG);
 }
 
 static PyObject *
 cutwidth_table(PyObject *self, PyObject *masks)
 {
-    return run_kernel(masks, fill_cutwidth);
+    return run_kernel(masks, fill_cutwidth, BIG);
 }
 
 static PyObject *
 path_congestion_table(PyObject *self, PyObject *masks)
 {
-    return run_kernel(masks, fill_path_congestion);
+    return run_kernel(masks, fill_path_congestion, BIG);
 }
 
 static PyObject *
-tree_congestion_table(PyObject *self, PyObject *masks)
+tree_congestion_table(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    return run_kernel(masks, fill_tree_congestion);
+    static char *kwlist[] = {"masks", "cap", NULL};
+    PyObject *masks, *cap_arg = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:tree_congestion_table", kwlist,
+                                     &masks, &cap_arg))
+        return NULL;
+    int cap = BIG;
+    if (cap_arg != NULL) {
+        int overflow;
+        long long value = PyLong_AsLongLongAndOverflow(cap_arg, &overflow);
+        if (value == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow < 0 || (overflow == 0 && value < 0)) {
+            PyErr_SetString(PyExc_ValueError, "cap must be at least 0");
+            return NULL;
+        }
+        /* no entry exceeds the 300 edges of 25 vertices: above BIG is no bound */
+        if (overflow == 0 && value < BIG)
+            cap = (int)value;
+    }
+    return run_kernel(masks, fill_tree_congestion, cap);
 }
 
 static PyMethodDef core_methods[] = {
@@ -299,8 +326,12 @@ static PyMethodDef core_methods[] = {
      "cutwidth_table(masks) -> array('H'): cutwidth over vertex orderings."},
     {"path_congestion_table", path_congestion_table, METH_O,
      "path_congestion_table(masks) -> array('H'): path congestion, pw(L(G)) + 1."},
-    {"tree_congestion_table", tree_congestion_table, METH_O,
-     "tree_congestion_table(masks) -> array('H'): tree congestion, tw(L(G)) + 1."},
+    {"tree_congestion_table", (PyCFunction)(void (*)(void))tree_congestion_table,
+     METH_VARARGS | METH_KEYWORDS,
+     "tree_congestion_table(masks, cap=no bound) -> array('H'): tree congestion,\n"
+     "tw(L(G)) + 1, as min(t[S], cap), exact below the cap: every split costs at\n"
+     "least cut(S), and min commutes with the cap.  min_tree_congestion passes the\n"
+     "path incumbent pcon >= con.  A negative cap raises ValueError."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -36,7 +36,14 @@ fill their bound table and ``_settle`` runs the one min loop over it.
 A holding the lowest vertex of S.  The last term counts the edges through
 a tree node whose three branches hold A, B and the rest, so t[full] is the
 least vertex congestion of a leaf embedding into a cubic tree, tw(L(G)) + 1
-for the graph restricted to the placed vertices.
+for the graph restricted to the placed vertices.  Given a ``cap`` (by
+default none), it fills t'[S] = min(t[S], cap) with less work: every
+split's node term is cut(S) + e(A, B), never below cut(S), so a subset
+with cut(S) >= cap gets cap with no split loop, and any other starts its
+loop at cap and stops once the best is cut(S).  Capping commutes with min
+and max, so every entry below the cap is exact.  ``min_tree_congestion``
+passes the path congestion, which bounds it from above since a caterpillar
+is a tree, so the last entry is still the answer.
 
 The last three first fill a table with cut(S) = cut(S-u) + deg u -
 2|N(u) & S|, u the lowest vertex of S; cutwidth and path congestion
@@ -177,18 +184,22 @@ def path_congestion_table(masks):
     return table
 
 
-def tree_congestion_table(masks):
+def tree_congestion_table(masks, cap=_BIG):
+    if cap < 0:
+        raise ValueError("cap must be at least 0")
     cut = _cut_size_table(masks)
-    table = cut[:]  # the singletons: t[{v}] = cut({v}) = deg v
+    table = [0] * len(cut)
     for s in range(1, len(table)):
         low = s & -s
         rest = s ^ low
-        if not rest:
-            continue
         cut_s = cut[s]
-        best = _BIG
+        # a singleton's deg v is cut(S); every split costs at least cut(S)
+        if not rest or cut_s >= cap:
+            table[s] = cut_s if cut_s < cap else cap
+            continue
+        best = cap
         part = rest
-        while part:  # B = part, A = s - part holds the lowest vertex
+        while part and best > cut_s:  # B = part, A = s - part holds the lowest vertex
             other = s ^ part
             a = table[other]
             b = table[part]

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from linewidth.graphs import (
     path_graph,
     star_graph,
 )
+import oracles
 from oracles import (
     brute_cutwidth,
     brute_path_congestion,
@@ -148,18 +150,21 @@ def test_tree_congestion_witness_equals_branch_and_bound(g):
     assert_witness_of_the_search(g)
 
 
-def gap_graphs(count: int, seed: int) -> list[Graph]:
+@functools.cache
+def gap_graphs(count: int, seed: int, gap: bool = True) -> tuple[Graph, ...]:
     """The first `count` graphs of a seeded G(9, m) stream, m from 9 to 18,
-    whose path congestion is above their tree congestion."""
+    whose path congestion is above their tree congestion, or with gap=False
+    equal to it."""
     rng = random.Random(seed)
     pairs = list(combinations(range(1, 10), 2))
     found = []
     while len(found) < count:
         g = Graph(9, rng.sample(pairs, rng.randint(9, 18)))
         masks = _adjacency_masks(g, g.non_isolated_vertices())
-        if kernels.path_congestion_table(masks)[-1] > kernels.tree_congestion_table(masks)[-1]:
+        pcon = kernels.path_congestion_table(masks)[-1]
+        if (pcon > kernels.tree_congestion_table(masks)[-1]) == gap:
             found.append(g)
-    return found
+    return tuple(found)
 
 
 def test_tree_congestion_witness_on_seeded_gap_graphs_with_9_vertices():
@@ -194,6 +199,14 @@ def test_tree_congestion_witness_keeps_an_edge_loaded_to_the_bound():
     # are pinned instead, so skipping edges at the bound changes them
     g = TIE_AT_THE_BOUND
     assert format_emb(min_tree_congestion(g).embedding, g) == TIE_AT_THE_BOUND_EMB
+
+
+def test_tree_congestion_capped_at_the_path_incumbent_is_exact():
+    # where con < pcon the capped last entry must still be con itself
+    gaps = gap_graphs(20, seed=2024) + (TIE_AT_THE_BOUND,)
+    for g in gaps + gap_graphs(len(gaps), seed=2024, gap=False):
+        masks = _adjacency_masks(g, g.non_isolated_vertices())
+        assert min_tree_congestion(g).value == oracles.tree_congestion_table(masks)[-1]
 
 
 def test_tree_congestion_witness_on_every_labelled_graph_up_to_5_vertices():

@@ -46,8 +46,31 @@ def sparse_graph(n: int, seed: int) -> Graph:
 @example(sparse_graph(14, 3))
 def test_backends_agree(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
+    pure = {name: getattr(_pure, name)(masks) for name in KERNELS}
     for name in KERNELS:
-        assert list(getattr(compiled_core, name)(masks)) == getattr(_pure, name)(masks)
+        assert list(getattr(compiled_core, name)(masks)) == pure[name]
+    # capped at 1, the max degree, the path congestion and one above it, and
+    # above every entry, the tree table of each backend is the full one capped
+    pcon = pure["path_congestion_table"][-1]
+    delta = max((m.bit_count() for m in masks), default=0)
+    for cap in (1, delta, pcon, pcon + 1, g.edge_count + 1):
+        capped = [min(x, cap) for x in pure["tree_congestion_table"]]
+        assert _pure.tree_congestion_table(masks, cap) == capped
+        assert list(compiled_core.tree_congestion_table(masks, cap)) == capped
+
+
+@pytest.mark.parametrize("backend", ["_pure", "compiled_core"])
+def test_tree_table_cap_range(request, backend):
+    impl = _pure if backend == "_pure" else request.getfixturevalue(backend)
+    triangle = [0b110, 0b101, 0b011]
+    for cap in (-1, -(1 << 70)):
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            impl.tree_congestion_table(triangle, cap)
+    full = list(impl.tree_congestion_table(triangle))
+    assert full == [0, 2, 2, 3, 2, 3, 3, 3]
+    for cap in (0xFFFF, 1 << 16, 1 << 40, 1 << 70):  # no entry reaches these: no bound
+        assert list(impl.tree_congestion_table(triangle, cap)) == full
+    assert list(impl.tree_congestion_table(triangle, 0)) == [0] * 8
 
 
 def test_compiled_core_is_loaded_on_the_side(compiled_core):
@@ -194,9 +217,9 @@ def fills(monkeypatch):
     for name in KERNELS:
         real = getattr(kernels, name)
 
-        def counted(masks, real=real, name=name):
+        def counted(masks, *args, real=real, name=name):
             counts[name] += 1
-            return real(masks)
+            return real(masks, *args)
 
         monkeypatch.setattr(kernels, name, counted)
     return counts

@@ -48,7 +48,7 @@ def main() -> None:
         return
 
     sizes = {
-        "treewidth_table": [10, 12, 14] + ([16, 18] if args.full else []),
+        "treewidth_table": [10, 12, 14] + ([16, 18, 20] if args.full else []),
         "vertex_separation_table": [12, 14, 16] + ([18, 20] if args.full else []),
         "cutwidth_table": [12, 14, 16] + ([18, 20] if args.full else []),
         "path_congestion_table": [12, 14, 16] + ([18, 20] if args.full else []),

@@ -2,6 +2,11 @@
 ordering recurrence t[S] = min over v in S of max(t[S-v], c(S, v)) with each
 kernel's cost, and the split recurrence of tree congestion.  Vertex
 separation and cutwidth fill their bound on S and run the min loop of settle().
+Treewidth reads comp[S], the component of S's lowest vertex in G[S], from a
+table it fills in the same pass from comp[S-h], h the highest vertex of S,
+and the components of G[S-h] that h joins.  Unlike _pure.py it keeps no
+N(S) table: where comp[S] = S it ORs the masks of S's vertices, so comp is
+its one 2^n buffer of uint32, as nbrs is for vertex separation.
 Tree congestion takes an optional cap, the path incumbent in
 min_tree_congestion, and fills min(t[S], cap), exact below the cap: a subset
 with cut(S) >= cap gets cap with no split loop, as every split costs at least
@@ -10,10 +15,10 @@ ValueError, and a cap above BIG is no bound.
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
-loops follow _pure.py line for line and the tables must agree with it
-exactly; the test suite cross-checks the two backends.  Every width,
-congestion and cut size of a 25-vertex graph is at most its 300 edges, so
-a 16-bit cell holds every entry.
+loops follow _pure.py line for line (treewidth's N(S) aside) and the tables
+must agree with it exactly; the test suite cross-checks the two backends.
+Every width, congestion and cut size of a 25-vertex graph is at most its
+300 edges, so a 16-bit cell holds every entry.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -44,27 +49,6 @@ bit_count(u64 x)
     return __builtin_popcountll(x);
 }
 
-/* component_reach in _pure.py: the component of v in G[s] goes to *comp,
-   and the number of vertices outside s adjacent to it is returned. */
-static inline int
-component_reach(const u64 *adj, u64 s, int v, u64 *comp)
-{
-    u64 found = 0, seen = 0, frontier = (u64)1 << v;
-    while (frontier) {
-        found |= frontier;
-        u64 grown = 0;
-        while (frontier) {
-            u64 low = frontier & -frontier;
-            frontier ^= low;
-            grown |= adj[bit_index(low)];
-        }
-        seen |= grown;
-        frontier = grown & s & ~found;
-    }
-    *comp = found;
-    return bit_count(seen & ~s);
-}
-
 /* _settle in _pure.py: table[S] holds bound(S) on entry and
    t[S] = max(bound(S), min over v in S of t[S-v]) on return */
 static void
@@ -87,29 +71,62 @@ settle(cell *table, int n)
     }
 }
 
+/* treewidth_table in _pure.py, with N(S) ORed where comp[S] = S */
 static int
 fill_treewidth(const u64 *adj, int n, int cap, cell *table)
 {
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        u64 comp;
-        int reach = component_reach(adj, s, bit_index(s & -s), &comp);
-        if (comp != s) { /* t[S] is the larger of t over the lowest component and the rest */
-            int a = table[comp], b = table[s ^ comp];
-            table[s] = (cell)(a > b ? a : b);
-            continue;
-        }
-        int best = BIG;
-        u64 rest = s;
-        /* every vertex of a connected S costs reach */
-        while (rest && best > reach) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int prev = table[s ^ low];
-            if (prev < best)
-                best = prev;
-        }
-        table[s] = (cell)(best > reach ? best : reach);
+    uint32_t *comp = PyMem_Malloc(sizeof(uint32_t) << n);
+    if (comp == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
+    comp[0] = 0;
+    for (int h = 0; h < n; h++) {
+        u64 top = (u64)1 << h;
+        u64 nb = adj[h];
+        for (u64 below = 0; below < top; below++) {
+            u64 s = top | below;
+            u64 c = comp[below];
+            u64 touch = nb & below;
+            /* S is {top}, or top joins the lowest vertex's component */
+            if (!below || (touch & c)) {
+                u64 rest = below ^ c;
+                touch &= rest;
+                c |= top;
+                /* and every other component of G[below] it touches */
+                while (touch) {
+                    u64 d = comp[rest];
+                    rest ^= d;
+                    if (d & touch) {
+                        c |= d;
+                        touch &= rest;
+                    }
+                }
+            }
+            comp[s] = (uint32_t)c;
+            if (c != s) { /* t[S] is the larger of t over the lowest component and the rest */
+                int a = table[c], b = table[s ^ c];
+                table[s] = (cell)(a > b ? a : b);
+                continue;
+            }
+            u64 ns = 0;
+            for (u64 left = s; left; left &= left - 1)
+                ns |= adj[bit_index(left)];
+            int reach = bit_count(ns & ~s);
+            int best = BIG;
+            u64 rest = s;
+            /* every vertex of a connected S costs reach */
+            while (rest && best > reach) {
+                u64 low = rest & -rest;
+                rest ^= low;
+                int prev = table[s ^ low];
+                if (prev < best)
+                    best = prev;
+            }
+            table[s] = (cell)(best > reach ? best : reach);
+        }
+    }
+    PyMem_Free(comp);
     return 0;
 }
 

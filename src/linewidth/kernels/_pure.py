@@ -20,9 +20,13 @@ fill their bound table and ``_settle`` runs the one min loop over it.
   S-v, |N(C) - S| for the component C of v in G[S].  That cost reads only
   the part of the ordering inside C, so t[S] is the largest t over the
   components of G[S]: where the component C of S's lowest vertex is not S,
-  t[S] = max(t[C], t[S-C]), read in the same ascending pass.  Where it is,
-  every v costs |N(S) - S|, from the same ``component_reach``.  t[full] is
-  the treewidth.
+  t[S] = max(t[C], t[S-C]).  Where it is, every v costs |N(S) - S|.  The
+  same ascending pass fills two more tables, with no search.  With h the
+  highest vertex of S, N(S) = N(S-h) | N(h), and comp[S] = C is comp[S-h]
+  if h has no neighbour there; else it is comp[S-h] + h and every
+  component of G[S-h] that N(h) touches, peeled off the rest R in
+  lowest-vertex order as comp[R] until N(h) & R is spent.  t[full] is the
+  treewidth.
 * ``path_congestion_table``: c(S, v) = cut(S) + |N(v) & S|, the edges
   covering position |S| with v there, never below cut(S).  t[full] is
   pw(L(G)) + 1 for the graph restricted to the placed vertices.  It is the
@@ -112,24 +116,46 @@ def _settle(table):
 
 
 def treewidth_table(masks):
+    from array import array
+
     n = _check(masks)
+    nbrs = array("I", [0]) * (1 << n)  # nbrs[S] = N(S), the union of S's masks
+    comp = array("I", [0]) * (1 << n)  # comp[S]: the component of S's lowest vertex in G[S]
     table = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        comp, reach = component_reach(masks, s, (s & -s).bit_length() - 1)
-        if comp != s:  # t[S] is the larger of t over the lowest component and the rest
-            a = table[comp]
-            b = table[s ^ comp]
-            table[s] = a if a > b else b
-            continue
-        best = _BIG
-        rest = s
-        while rest and best > reach:  # every vertex of a connected S costs reach
-            low = rest & -rest
-            rest ^= low
-            prev = table[s ^ low]
-            if prev < best:
-                best = prev
-        table[s] = best if best > reach else reach
+    for h in range(n):  # S = top + below runs through [top, 2 top) in ascending order
+        top = 1 << h
+        nb = masks[h]
+        for below in range(top):
+            s = top | below
+            nbrs[s] = nbrs[below] | nb
+            c = comp[below]
+            touch = nb & below
+            if not below or touch & c:  # S is {top}, or top joins the lowest vertex's component
+                rest = below ^ c
+                touch &= rest
+                c |= top
+                while touch:  # and every other component of G[below] it touches
+                    d = comp[rest]
+                    rest ^= d
+                    if d & touch:
+                        c |= d
+                        touch &= rest
+            comp[s] = c
+            if c != s:  # t[S] is the larger of t over the lowest component and the rest
+                a = table[c]
+                b = table[s ^ c]
+                table[s] = a if a > b else b
+                continue
+            reach = (nbrs[s] & ~s).bit_count()
+            best = _BIG
+            rest = s
+            while rest and best > reach:  # every vertex of a connected S costs reach
+                low = rest & -rest
+                rest ^= low
+                prev = table[s ^ low]
+                if prev < best:
+                    best = prev
+            table[s] = best if best > reach else reach
     return table
 
 

@@ -194,12 +194,13 @@ def test_criterion_11_optimization_checks():
 
 
 def test_criterion_12_complete_graph_consistency():
-    for n in (4, 5):
+    # the independent L(G) solver: tw(L(K_n)) = pw(L(K_n)) = the minimum-degree
+    # bound of K_n, inside every degree bound of the report
+    for n, expected in ((4, 4), (5, 7), (6, 10)):
         g = generate(FamilySpec("complete", (n,)))
         lg, _ = line_graph(g)
         tw_line = exact_treewidth(lg).width
-        if n == 4:
-            assert tw_line == 4
+        assert tw_line == exact_pathwidth(lg).width == min_degree_lower_bound(g) == expected
         rep = bounds_report(g, compute_exact=True)
         assert all(e.value <= tw_line for e in rep.lowers(TARGET_TW))
         assert all(e.value >= tw_line for e in rep.uppers(TARGET_TW))
@@ -213,6 +214,7 @@ def test_criterion_12_complete_graph_consistency():
     report(
         12,
         True,
-        "L(K_4) = 4 and L(K_5) sit inside every degree bound, which pw(L(K_n)) "
-        "meets for n = 3..12 and tw(L(K_n)) for n = 3..10",
+        "tw(L(K_n)) = pw(L(K_n)) = the min-degree bound on L(K_n) itself for n = 4, 5, 6, "
+        "inside every degree bound; as congestions, pw(L(K_n)) meets it for "
+        "n = 3..12 and tw(L(K_n)) for n = 3..10",
     )

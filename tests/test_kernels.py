@@ -37,6 +37,17 @@ def sparse_graph(n: int, seed: int) -> Graph:
     return Graph(n, rng.sample(pairs, round(len(pairs) * rng.uniform(0.15, 0.3))))
 
 
+# In each, the top vertex of some subset S joins three or more components of
+# G[S - top] and skips one between them in lowest-vertex order, a vertex with
+# a neighbour outside S: a star on 6 with leaves 1, 3, 4 and 2 joined to 1
+# through 5, at S = {1, 2, 3, 4, 6}; and paths 1-2-3 and 5-6-7 bridged by 8
+# at their ends with 4 hung on 6, at S = {1, 3, 4, 5, 7, 8}.
+TOP_JOINS_COMPONENTS = (
+    Graph(6, [(1, 6), (3, 6), (4, 6), (1, 5), (2, 5)]),
+    Graph(8, [(1, 2), (2, 3), (5, 6), (6, 7), (4, 6), (8, 1), (8, 3), (8, 5), (8, 7)]),
+)
+
+
 @given(graphs(min_vertices=0, max_vertices=9))
 @example(Graph(0))
 @example(Graph(1))
@@ -44,6 +55,8 @@ def sparse_graph(n: int, seed: int) -> Graph:
 @example(sparse_graph(12, 1))
 @example(sparse_graph(13, 2))
 @example(sparse_graph(14, 3))
+@example(TOP_JOINS_COMPONENTS[0])
+@example(TOP_JOINS_COMPONENTS[1])
 def test_backends_agree(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     pure = {name: getattr(_pure, name)(masks) for name in KERNELS}
@@ -98,6 +111,8 @@ def _earlier_order(name, masks, cost):
 @example(path_graph(9))
 @example(sparse_graph(11, 4))
 @example(sparse_graph(11, 5))
+@example(TOP_JOINS_COMPONENTS[0])
+@example(TOP_JOINS_COMPONENTS[1])
 def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
     masks = _adjacency_masks(g, g.vertices)
     for name in KERNELS:
@@ -132,9 +147,10 @@ def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
 def test_elimination_reach_across_eliminated_set():
     # path a-b-c-d as bits 0..3: eliminating b after {c} sees both a and d
     masks = [0b0010, 0b0101, 0b1010, 0b0100]
-    assert _pure.component_reach(masks, 0b0110, 1) == (0b0110, 2)
-    assert _pure.component_reach(masks, 0b0010, 1) == (0b0010, 2)
-    assert _pure.component_reach(masks, 0b0001, 0) == (0b0001, 1)
+    assert oracles.elimination_reach_count(masks, 0b0100, 1) == 2
+    assert oracles.elimination_reach_count(masks, 0b0000, 1) == 2
+    assert oracles.elimination_reach_count(masks, 0b0000, 0) == 1
+    assert _pure.treewidth_table(masks) == oracles.treewidth_table(masks)
 
 
 def test_border_and_cross():
@@ -151,7 +167,7 @@ MEMOISED = {
         exact_treewidth,
         "treewidth_table",
         lambda g: g.vertices,
-        lambda masks, table, s, v: _pure.component_reach(masks, s, v)[1],
+        lambda masks, table, s, v: oracles.elimination_reach_count(masks, s ^ (1 << v), v),
         lambda r: (r.width, r.certificate.ordering),
     ),
     "pathwidth": (

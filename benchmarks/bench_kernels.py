@@ -8,7 +8,7 @@ Usage, from a checkout (``src`` on the import path, as for the tests):
 
 import argparse
 import random
-import time
+import timeit
 
 from linewidth.graphs import Graph, _adjacency_masks
 from linewidth.kernels import BACKEND, backends
@@ -21,6 +21,8 @@ KERNELS = (
     "tree_congestion_table",
 )
 
+REPEATS = 3  # calls per row; the fastest is printed
+
 
 def random_masks(n: int, seed: int) -> list[int]:
     rng = random.Random(seed)
@@ -30,9 +32,8 @@ def random_masks(n: int, seed: int) -> list[int]:
 
 
 def time_call(fn, masks) -> float:
-    start = time.perf_counter()
-    fn(masks)
-    return time.perf_counter() - start
+    """The best of REPEATS calls, so one slow call does not set a row."""
+    return min(timeit.repeat(lambda: fn(masks), number=1, repeat=REPEATS))
 
 
 def main() -> None:

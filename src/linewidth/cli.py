@@ -287,6 +287,8 @@ def _read_family(path: Path) -> FamilySpec | None:
 def _cmd_sharp(args) -> int:
     if args.family is not None:
         spec = FamilySpec(args.family, tuple(args.params or ()))
+    elif args.params is not None:
+        raise DomainError("--params is only read with --family")
     else:
         spec = _read_family(args.graph)
         if spec is None:

@@ -23,7 +23,6 @@ from linewidth.graphs import (
     DomainError,
     FormatError,
     Graph,
-    _adjacency_masks,
     _int,
     header_fields,
     read_text,
@@ -174,11 +173,6 @@ def _ordering_profile(o: LinearOrdering, g: Graph, reach: int) -> tuple[int, dic
     return (max(profile.values(), default=0), profile)
 
 
-def _active_masks(g: Graph):
-    active = g.non_isolated_vertices()
-    return active, tuple(_adjacency_masks(g, active))
-
-
 def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
     """Exact minimum, over orderings of the non-isolated vertices, of the
     largest number of edges covering a single position (endpoints included).
@@ -187,23 +181,17 @@ def min_path_congestion(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> Cong
     incumbent right after this call on the same graph fills nothing."""
     if g.edge_count == 0:
         raise DomainError("path congestion is undefined for an edgeless graph")
-    active, masks = _active_masks(g)
-    m = len(active)
-    kernels.check_limit("path congestion solver", m, max_vertices)
-    if m == 2:  # the kernel backtracks (1, 0): keep .ord and caterpillar .emb lower first
-        return CongestionCertificate(1, "path-vertex", ordering=LinearOrdering(active))
-    value, order = kernels.solve("path_congestion_table", masks)
-    ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(value, "path-vertex", ordering=ordering)
+    active = g.non_isolated_vertices()
+    value, order = kernels.solve(g, active, "path congestion", max_vertices)
+    if len(order) == 2:  # backtracked high first: keep .ord and caterpillar .emb lower first
+        order = active
+    return CongestionCertificate(value, "path-vertex", ordering=LinearOrdering(order))
 
 
 def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCertificate:
     """Exact cutwidth via subset DP, with a witness ordering."""
-    active, masks = _active_masks(g)
-    kernels.check_limit("cutwidth solver", len(active), max_vertices)
-    value, order = kernels.solve("cutwidth_table", masks)
-    ordering = LinearOrdering(active[u] for u in order)
-    return CongestionCertificate(value, "path-edge", ordering=ordering)
+    value, order = kernels.solve(g, g.non_isolated_vertices(), "cutwidth", max_vertices)
+    return CongestionCertificate(value, "path-edge", ordering=LinearOrdering(order))
 
 
 def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
@@ -294,10 +282,10 @@ def min_tree_congestion(
     embedding in _first_fit's order that attains it."""
     if g.edge_count == 0:
         raise DomainError("tree congestion is undefined for an edgeless graph")
-    active, masks = _active_masks(g)
+    active = g.non_isolated_vertices()
     kernels.check_limit("tree congestion solver", len(active), max_vertices)
     path_cert = min_path_congestion(g, max_vertices)
-    value = kernels.tree_congestion_table(masks, path_cert.value)[-1]
+    value = kernels.tree_congestion(g, active, path_cert.value)
     if path_cert.value == value:
         emb = caterpillar_embedding(path_cert.ordering, g)
     else:

@@ -7,12 +7,14 @@ by the decomposition validator.  The treewidth solver also returns its
 elimination ordering as a replayable certificate; one elimination game
 gives both the replayed width and the bags of the decomposition.
 
-The DP optimum and ordering come from ``kernels.solve``, which is memoised
-on the adjacency masks, so a graph solved again soon after (by
-``bounds_report``, say) is not filled again; the witness is still built and
-checked on every call.  ``exact_treewidth(line_graph(g))`` stays an
-independent oracle for the congestion of g: its masks are those of L(g),
-a different memo key from any solve on g.
+Each solver passes the graph and its vertex list to ``kernels.solve``,
+which checks the limit and returns the DP optimum with an optimal ordering
+of those vertex ids.  The fill is memoised on the kernel name and the
+adjacency masks, so a graph solved again soon after (by ``bounds_report``,
+say) is not filled again; the witness is still built and checked on every
+call.  ``exact_treewidth(line_graph(g))`` stays an independent oracle for
+the congestion of g: its masks are those of L(g), a different memo key
+from any solve on g.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from linewidth import kernels
 from linewidth.decompositions import SUBJECT_GRAPH, PathDecomposition, TreeDecomposition
-from linewidth.graphs import DomainError, Graph, _adjacency_masks
+from linewidth.graphs import DomainError, Graph
 
 SOLVER_LIMIT = 20
 
@@ -66,17 +68,10 @@ class PathwidthResult:
     ordering: tuple[int, ...]
 
 
-def _prepare(g: Graph, max_vertices: int, what: str):
-    if g.n == 0:
-        raise DomainError(f"{what} is undefined for the empty graph")
-    kernels.check_limit(f"{what} solver", g.n, max_vertices)
-    return tuple(_adjacency_masks(g, g.vertices))
-
-
 def exact_treewidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> TreewidthResult:
-    masks = _prepare(g, max_vertices, "treewidth")
-    tw, order = kernels.solve("treewidth_table", masks)
-    ordering = tuple(v + 1 for v in order)
+    if g.n == 0:
+        raise DomainError("treewidth is undefined for the empty graph")
+    tw, ordering = kernels.solve(g, g.vertices, "treewidth", max_vertices)
     bags = _elimination_bags(g, ordering)
     if max(map(len, bags)) - 1 != tw:  # internal consistency; never expected
         raise DomainError("elimination replay disagrees with the DP table")
@@ -101,24 +96,16 @@ def _decomposition_from_elimination(ordering, bags) -> TreeDecomposition:
 
 
 def exact_pathwidth(g: Graph, max_vertices: int = SOLVER_LIMIT) -> PathwidthResult:
-    masks = _prepare(g, max_vertices, "pathwidth")
-    pw, order_bits = kernels.solve("vertex_separation_table", masks)
-    ordering = tuple(b + 1 for b in order_bits)
-    # bag i = v_i plus the prefix vertices that still have later neighbours;
+    if g.n == 0:
+        raise DomainError("pathwidth is undefined for the empty graph")
+    pw, ordering = kernels.solve(g, g.vertices, "pathwidth", max_vertices)
+    # bag i = v_i plus the placed vertices that still have later neighbours;
     # no earlier bag holds v_i, so a bag is only ever dropped for a later one
     bags: list[frozenset[int]] = []
-    prefix = 0
-    for b in order_bits:
-        bag = {b + 1}
-        rest = prefix
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            if masks[u] & ~prefix:
-                bag.add(u + 1)
-        bags.append(frozenset(bag))
-        prefix |= 1 << b
+    placed: set[int] = set()
+    for v in ordering:
+        bags.append(frozenset([v, *(u for u in placed if not g.neighbors(u) <= placed)]))
+        placed.add(v)
     cleaned: list[frozenset[int]] = []
     for bag in bags:
         while cleaned and cleaned[-1] <= bag:

@@ -156,18 +156,19 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
 DENSE_LIMIT = 18  # vertices of g for the exhaustive densest-subgraph search
 
 
-def minimal_dense_vertex_set(g: Graph, max_vertices: int = DENSE_LIMIT) -> tuple[int, ...]:
+def minimal_dense_vertex_set(g: Graph) -> tuple[int, ...]:
     """Vertex set of an induced subgraph maximizing average degree, with the
     fewest vertices among maximizers (ties broken toward the lexicographically
     least set).  The result H satisfies d(H) >= d(g) and deleting any
     nonempty proper vertex subset of H strictly lowers its average degree.
 
-    Exhaustive over all 2^n - 1 subsets; n is capped because of that.
+    Exhaustive over all 2^n - 1 subsets; n is capped at DENSE_LIMIT, read
+    at each call, because of that.
     """
     if g.n == 0:
         raise DomainError("undefined on the empty graph")
-    if g.n > max_vertices:
-        raise SolverLimitError("minimal dense subgraph search", g.n, max_vertices)
+    if g.n > DENSE_LIMIT:
+        raise SolverLimitError("minimal dense subgraph search", g.n, DENSE_LIMIT)
     masks = _adjacency_masks(g, g.vertices)
     size = 1 << g.n
     # edge counts per subset: e(S) = e(S minus lowest bit) + |N(low) & S|,

@@ -4,26 +4,30 @@
 ``backends()`` maps it and the pure one to their modules, so the benchmark
 can compare them; the tests build and load the compiled one themselves.
 
-``solve(kernel, masks)`` is how the exact solvers reach the four ordering
-kernels: it fills the named table, backtracks it and keeps only the
-optimum and the ordering's vertex bits.  Only path congestion passes its
-cost to ``backtrack``; the other three costs never exceed t[S].  ``solve``
-is memoised on the kernel name and the masks tuple, which are all a fill
+The solvers pass a graph and a vertex list and get vertex ids back; the
+bitmask encoding stays in this package.  ``solve(g, vertices, solver,
+max_vertices)`` is how the exact solvers reach the four ordering kernels:
+it refuses an instance above the limit before it builds any mask, fills
+the solver's table, backtracks it and maps the ordering's bits back to the
+given vertices.  Only path congestion passes its cost to ``backtrack``;
+the other three costs never exceed t[S].  The fill and backtrack are
+memoised on the kernel name and the masks tuple, which are all a fill
 reads, so a repeat solve soon after the first (``bounds_report`` after the
 solvers, ``verify theorems``, the path incumbent of
-``min_tree_congestion``) fills nothing.  That incumbent pcon is also the
-cap of ``tree_congestion_table(masks, cap)``: con <= pcon, as a caterpillar
-is a tree, and the split DP fills min(t[S], cap), exact below the cap, so
-its last entry is con.  The tree table is not memoised.  The memo holds
-SOLVE_MEMO_SIZE results and no table.  The key is the masks, not the graph: callers map
-the bits back to their own vertex ids.  ``benchmarks/bench_kernels.py``
-and the backend cross-check in the tests call the table functions of a
-backend directly and do not go through it.
+``min_tree_congestion``) fills nothing.  The key is the masks, not the
+graph, so two graphs with the same masks share an entry and each gets its
+own ids back.  The memo holds SOLVE_MEMO_SIZE results and no table.
+
+That incumbent pcon is also the cap of ``tree_congestion(g, vertices,
+cap)``: con <= pcon, as a caterpillar is a tree, and the split DP fills
+min(t[S], cap), exact below the cap, so its last entry is con.  The tree
+table is not memoised.  ``benchmarks/bench_kernels.py`` and the backend
+cross-check in the tests call the table functions of a backend directly.
 """
 
 from functools import lru_cache
 
-from linewidth.graphs import SolverLimitError
+from linewidth.graphs import Graph, SolverLimitError, _adjacency_masks
 from linewidth.kernels import _pure
 
 try:  # compiled extension is optional
@@ -79,13 +83,31 @@ def backtrack(table, n: int, cost=None) -> list[int]:
     return order
 
 
+# the ordering kernel of each solver, keyed by the name its refusal gives
+_SOLVER_KERNELS = {
+    "treewidth": "treewidth_table",
+    "pathwidth": "vertex_separation_table",
+    "cutwidth": "cutwidth_table",
+    "path congestion": "path_congestion_table",
+}
+
 # holds the four ordering kernels of the last four graphs: the repeat solves
 # of a graph (its bound report, the path incumbent) follow its first ones
 SOLVE_MEMO_SIZE = 16
 
 
+def solve(g: Graph, vertices, solver: str, max_vertices: int) -> tuple[int, tuple[int, ...]]:
+    """The optimum of the named solver's ordering kernel on g restricted to
+    vertices, and an optimal ordering of those vertices, first to last.
+    Raises SolverLimitError, naming the solver, before any mask is built."""
+    check_limit(f"{solver} solver", len(vertices), max_vertices)
+    masks = tuple(_adjacency_masks(g, vertices))
+    value, order = _fill_and_backtrack(_SOLVER_KERNELS[solver], masks)
+    return value, tuple(vertices[b] for b in order)
+
+
 @lru_cache(maxsize=SOLVE_MEMO_SIZE)
-def solve(kernel: str, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+def _fill_and_backtrack(kernel: str, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The optimum of the named ordering kernel on masks and the vertex bits
     of an optimal ordering, first to last.  The table is looked up on this
     module at each call, so a kernel replaced here is the one that runs."""
@@ -94,6 +116,12 @@ def solve(kernel: str, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if kernel == "path_congestion_table":  # c(S, v) = cut(S) + |N(v) & S|
         cost = lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count()
     return table[-1], tuple(backtrack(table, len(masks), cost))
+
+
+def tree_congestion(g: Graph, vertices, cap: int) -> int:
+    """min(con, cap) for g restricted to vertices: the last entry of the
+    split table capped at cap.  The caller checks the limit."""
+    return tree_congestion_table(_adjacency_masks(g, vertices), cap)[-1]
 
 
 def backends() -> dict:

@@ -68,24 +68,6 @@ def _check(masks) -> int:
     return n
 
 
-def component_reach(masks, s: int, v: int) -> tuple[int, int]:
-    """The component C of v in G[s] as a bitmask, and |N(C) - s|: the
-    degree of v, or of any vertex of C, when eliminated after s minus it."""
-    comp = 0
-    seen = 0
-    frontier = 1 << v
-    while frontier:
-        comp |= frontier
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown |= masks[low.bit_length() - 1]
-        seen |= grown
-        frontier = grown & s & ~comp
-    return comp, (seen & ~s).bit_count()
-
-
 def cross_size(masks, s: int) -> int:
     """Edges with exactly one endpoint in s."""
     count = 0

@@ -48,7 +48,7 @@ def retag_line(td: TreeDecomposition) -> TreeDecomposition:
 def cold_solve_memo():
     """Each test starts with an empty kernels.solve memo, so no outcome
     depends on what an earlier test solved, or on a kernel it replaced."""
-    kernels.solve.cache_clear()
+    kernels._fill_and_backtrack.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,6 @@ from linewidth.graphs import (
     complete_graph,
     cycle_graph,
     line_graph,
-    minimal_dense_vertex_set,
     path_graph,
     star_graph,
 )
@@ -178,10 +177,7 @@ def test_bounds_report_skips_avg_degree_past_subgraph_limit(monkeypatch):
     g = cycle_graph(5)
     full = bounds_report(g)
 
-    def limited(h):
-        return minimal_dense_vertex_set(h, max_vertices=4)
-
-    monkeypatch.setattr(bounds, "minimal_dense_vertex_set", limited)
+    monkeypatch.setattr("linewidth.graphs.DENSE_LIMIT", 4)
     rep = bounds_report(g)
     assert rep.entries == tuple(e for e in full.entries if e.name != "avg-degree")
     assert rep.notes == full.notes + (

@@ -267,6 +267,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ({}, ["verify", "theorems", "--max-n", "2", "--random", "-1"], "must be nonnegative"),
         ({}, ["verify", "theorems", "--max-n", "0", "--random", "0"], "must be positive"),
         ({}, ["verify", "theorems", "--max-n", "-2", "--random", "0"], "must be positive"),
+        ({}, ["sharp", "g.gr", "--params", "12", "3"], "--params is only read with --family"),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
@@ -276,7 +277,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
         "emb-domain", "ord-domain",
         "resolution-0", "resolution-0-grid", "random-negative",
-        "max-n-0", "max-n-negative",
+        "max-n-0", "max-n-negative", "sharp-params-no-family",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):

@@ -98,9 +98,11 @@ def test_minimal_dense_subgraph_examples():
     assert minimal_dense_subgraph(complete_graph(2)) == complete_graph(2)
 
 
-def test_minimal_dense_subgraph_limit():
-    with pytest.raises(SolverLimitError):
-        minimal_dense_vertex_set(Graph(19), max_vertices=18)
+def test_minimal_dense_subgraph_limit(monkeypatch):
+    monkeypatch.setattr("linewidth.graphs.DENSE_LIMIT", 4)  # read at each call
+    assert minimal_dense_vertex_set(cycle_graph(4)) == (1, 2, 3, 4)
+    with pytest.raises(SolverLimitError, match="instance size 5 exceeds the limit of 4"):
+        minimal_dense_vertex_set(cycle_graph(5))
 
 
 def _assert_minimal(h):

@@ -10,9 +10,15 @@ import oracles
 from conftest import graphs
 from linewidth import kernels
 from linewidth.bounds import bounds_report
-from linewidth.congestion import cutwidth, min_path_congestion, min_tree_congestion
-from linewidth.exact import exact_pathwidth, exact_treewidth
-from linewidth.graphs import Graph, _adjacency_masks, complete_graph, path_graph
+from linewidth.congestion import (
+    PATH_SOLVER_LIMIT,
+    TREE_CONGESTION_LIMIT,
+    cutwidth,
+    min_path_congestion,
+    min_tree_congestion,
+)
+from linewidth.exact import SOLVER_LIMIT, exact_pathwidth, exact_treewidth
+from linewidth.graphs import Graph, SolverLimitError, _adjacency_masks, complete_graph, path_graph
 from linewidth.kernels import _pure
 
 KERNELS = (
@@ -210,7 +216,7 @@ def test_memo_is_transparent(g):
         order = kernels.backtrack(table, len(masks), lambda s, v: cost(masks, table, s, v))
         direct[name] = (table[-1], tuple(verts[b] for b in order))
     solved = {name: (MEMOISED[name][0], MEMOISED[name][4]) for name in direct}
-    kernels.solve.cache_clear()
+    kernels._fill_and_backtrack.cache_clear()
     for _ in ("cold", "warm"):
         assert {name: read(solver(g)) for name, (solver, read) in solved.items()} == direct
 
@@ -261,3 +267,26 @@ def test_repeat_solves_reuse_the_memo_until_it_is_full(fills):
     for solver, *_ in MEMOISED.values():
         solver(g)
     assert fills == dict.fromkeys(KERNELS[:4], 1)
+
+
+@pytest.mark.parametrize(
+    "solver, limit, name",
+    [
+        (exact_treewidth, SOLVER_LIMIT, "treewidth"),
+        (exact_pathwidth, SOLVER_LIMIT, "pathwidth"),
+        (cutwidth, PATH_SOLVER_LIMIT, "cutwidth"),
+        (min_path_congestion, PATH_SOLVER_LIMIT, "path congestion"),
+        (min_tree_congestion, TREE_CONGESTION_LIMIT, "tree congestion"),
+    ],
+)
+def test_solvers_refuse_before_masks_or_fills(monkeypatch, solver, limit, name):
+    """One vertex above its limit, each solver names itself, and no mask is
+    built and no table filled on the way."""
+
+    def fail(*args):
+        raise AssertionError("reached past the limit check")
+
+    for attr in KERNELS + ("_adjacency_masks",):
+        monkeypatch.setattr(kernels, attr, fail)
+    with pytest.raises(SolverLimitError, match=f"^{name} solver: instance size {limit + 1} "):
+        solver(path_graph(limit + 1))

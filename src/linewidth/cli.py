@@ -75,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("quantity", choices=("tw", "pw", "cw", "con", "pcon"))
     p.add_argument("graph", type=Path)
     p.add_argument("--limit", type=int, default=None, help="solver size limit override")
-    p.add_argument("--no-witness", action="store_true", help="suppress witness files")
-    p.add_argument("-o", "--output", type=Path, default=None, help="witness file path")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--no-witness", action="store_true", help="suppress witness files")
+    out.add_argument("-o", "--output", type=Path, default=None, help="witness file path")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("bounds", help="closed-form bound report for a graph")
@@ -85,12 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="build decompositions of the line graph")
-    p.add_argument("mode", choices=("expand", "improved", "tree"))
-    p.add_argument("input", type=Path, help=".td of the graph (expand/improved) or .gr of a tree (tree)")
-    p.add_argument("--graph", type=Path, default=None, help="companion .gr for expand/improved")
-    p.add_argument("--path", action="store_true", help="treat the input .td as a path decomposition")
-    p.add_argument("-o", "--output", type=Path, default=None)
-    p.set_defaults(func=_cmd_construct)
+    modes = p.add_subparsers(dest="mode", required=True)
+    t = modes.add_parser("tree", help="decompose L(T) over a tree T, width max degree - 1")
+    t.add_argument("input", type=Path, help=".gr of a tree")
+    t.add_argument("-o", "--output", type=Path, default=None)
+    t.set_defaults(func=_cmd_construct_tree)
+    for mode, help_text in (
+        ("expand", "replace each vertex of a bag with its incident edges"),
+        ("improved", "balanced edge-split construction from a decomposition of the graph"),
+    ):
+        m = modes.add_parser(mode, help=help_text)
+        m.add_argument("input", type=Path, help=".td of the graph")
+        m.add_argument("--graph", type=Path, required=True, help="companion .gr")
+        m.add_argument("--path", action="store_true", help="treat the input .td as a path decomposition")
+        m.add_argument("-o", "--output", type=Path, default=None)
+        m.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("normalize", help="rewrite a line-graph decomposition into leaf base form")
     p.add_argument("decomposition", type=Path)
@@ -213,16 +223,16 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _cmd_construct_tree(args) -> int:
+    t = read_gr(args.input)
+    dec = tree_line_decomposition(t)
+    out = args.output or args.input.with_suffix(".line.td")
+    print(f"width {width(dec)}")
+    _write(out, format_td(dec, t))
+    return 0
+
+
 def _cmd_construct(args) -> int:
-    if args.mode == "tree":
-        t = read_gr(args.input)
-        dec = tree_line_decomposition(t)
-        out = args.output or args.input.with_suffix(".line.td")
-        print(f"width {width(dec)}")
-        _write(out, format_td(dec, t))
-        return 0
-    if args.graph is None:
-        raise DomainError("--graph is required for expand/improved")
     g = read_gr(args.graph)
     td = _read_witness(args.input, parse_td, g.n)
     dec_in = as_path_decomposition(td) if args.path else td
@@ -309,6 +319,8 @@ def _cmd_sharp(args) -> int:
 def _cmd_validate(args) -> int:
     g = read_gr(args.graph)
     suffix = args.witness.suffix
+    if args.line and suffix in (".emb", ".ord"):
+        raise DomainError(f"--line applies to a .td witness, not a {suffix}")
     if suffix == ".emb":
         emb = _read_witness(args.witness, parse_emb, g.n)
         emb.check(g)

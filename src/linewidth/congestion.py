@@ -194,7 +194,7 @@ def cutwidth(g: Graph, max_vertices: int = PATH_SOLVER_LIMIT) -> CongestionCerti
     return CongestionCertificate(value, "path-edge", ordering=LinearOrdering(order))
 
 
-def caterpillar_embedding(o: LinearOrdering, g: Graph) -> LeafEmbedding:
+def caterpillar_embedding(o: LinearOrdering) -> LeafEmbedding:
     """Spine node per position with the ordered vertex hung as a leaf.  Node
     congestion of spine node i equals the position-i count of the ordering,
     so the embedding attains the ordering's vertex congestion."""
@@ -287,7 +287,7 @@ def min_tree_congestion(
     path_cert = min_path_congestion(g, max_vertices)
     value = kernels.tree_congestion(g, active, path_cert.value)
     if path_cert.value == value:
-        emb = caterpillar_embedding(path_cert.ordering, g)
+        emb = caterpillar_embedding(path_cert.ordering)
     else:
         order = sorted(active, key=lambda v: (-g.degree(v), v))
         emb = _first_fit(g, order, value)

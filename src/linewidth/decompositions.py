@@ -332,27 +332,22 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
 
 
 def is_leaf_base_form(td: TreeDecomposition, base: BaseNodeAssignment, g: Graph) -> bool:
-    """All three normal-form properties: binary tree shape, b a bijection
-    onto the leaves, and bags equal to the base-path edge sets."""
-    adj = td.adjacency()
-    degrees = sorted(len(s) for s in adj.values())
-    if len(adj) == 2:
-        shape_ok = degrees == [1, 1]
-    else:
-        # one degree-2 root, internal nodes of degree 3, leaves of degree 1
-        shape_ok = (
-            degrees.count(2) == 1 and all(dg in (1, 2, 3) for dg in degrees)
-        )
-    if not shape_ok:
+    """Whether (td, base) is the decomposition read off a leaf embedding of
+    g whose tree is a single edge or a binary tree with one degree-2 root,
+    and whose every leaf hosts a vertex."""
+    emb = LeafEmbedding(td.nodes, td.tree_edges, base.by_vertex)
+    try:
+        dec, _ = decomposition_from_embedding(emb, g)
+    except DomainError:
         return False
-    leaf_set = {n for n, s in adj.items() if len(s) == 1}
-    values = list(base.by_vertex.values())
-    if len(set(values)) != len(values) or set(values) != leaf_set:
-        return False
-    if set(base.by_vertex) != set(g.non_isolated_vertices()):
-        return False
-    expected = edge_path_bags(root_tree(adj, min(adj))[0], base.by_vertex, g)
-    return all(td.bags[n] == frozenset(expected[n]) for n in td.nodes)
+    # the check made the hosts distinct leaves, so every leaf hosts a vertex
+    # exactly when there are as many leaves as hosts
+    degrees = [len(s) for s in emb.adjacency().values()]
+    return (
+        (len(degrees) == 2 or degrees.count(2) == 1)
+        and degrees.count(1) == len(base.by_vertex)
+        and dec.bags == td.bags
+    )
 
 
 def decomposition_from_embedding(

@@ -31,17 +31,7 @@ from linewidth.graphs import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
-    edge_id_map,
     line_graph,
-)
-
-FAMILY_NAMES = (
-    "complete",
-    "complete-bipartite",
-    "path-power",
-    "cycle-power",
-    "cycle-power-matched",
-    "grid-cliques",
 )
 
 _PARAM_COUNT = {
@@ -52,6 +42,8 @@ _PARAM_COUNT = {
     "cycle-power-matched": 2,
     "grid-cliques": 2,
 }
+
+FAMILY_NAMES = tuple(_PARAM_COUNT)
 
 
 @dataclass(frozen=True)
@@ -182,15 +174,14 @@ def positional_line_decomposition(g: Graph, positions: dict[int, int]) -> PathDe
     for v in g.non_isolated_vertices():
         if v not in positions:
             raise DomainError(f"vertex {v} has no position")
-    ids = edge_id_map(g)
     top = max(positions.values())
     if min(positions.values()) < 1:
         raise DomainError("positions must be >= 1")
     bags: list[set[int]] = [set() for _ in range(top)]
-    for u, v in g.edges:
+    for eid, (u, v) in enumerate(g.edges, 1):
         lo, hi = sorted((positions[u], positions[v]))
         for i in range(lo, hi + 1):
-            bags[i - 1].add(ids[(u, v)])
+            bags[i - 1].add(eid)
     return PathDecomposition(bags, SUBJECT_LINE)
 
 

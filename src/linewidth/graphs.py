@@ -205,27 +205,32 @@ def _adjacency_masks(g: Graph, vertices: Sequence[int]) -> list[int]:
     return masks
 
 
+def reach(neighbors, start) -> set:
+    """The nodes reachable from start, start included, where neighbors(v)
+    gives the nodes adjacent to v."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     seen = set()
     comps = []
     for start in g.vertices:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = reach(g.neighbors, start)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return g.n == 0 or len(reach(g.neighbors, 1)) == g.n
 
 
 def is_tree(g: Graph) -> bool:

@@ -126,7 +126,4 @@ def tree_congestion(g: Graph, vertices, cap: int) -> int:
 
 def backends() -> dict:
     """The kernel implementations import found, keyed by name."""
-    found = {"pure-python": _pure}
-    if BACKEND == "compiled":
-        found["compiled"] = _impl
-    return found
+    return {"pure-python": _pure, BACKEND: _impl}

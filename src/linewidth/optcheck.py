@@ -131,21 +131,18 @@ def min_degree_split(s, parity: str, resolution: int = 32) -> GridSearchResult:
         raise DomainError("parity must be 'even' or 'odd'")
     h = lambda a, b: (1 + s) * (a + b) - a * a - b * b - a * b
     quarter = Fraction(1, 4)
+    corner_claims = [
+        ((HALF, HALF), quarter + s),
+        ((HALF, s), quarter + s),
+        ((s, HALF), quarter + s),
+    ]
     if parity == "even":
         threshold = HALF + s
         closed = quarter + s
-        corner_claims = [
-            ((HALF, HALF), quarter + s),
-            ((HALF, s), quarter + s),
-            ((s, HALF), quarter + s),
-        ]
     else:
         threshold = HALF + s / 2
         closed = quarter + s - s * s / 4
-        corner_claims = [
-            ((HALF, HALF), quarter + s),
-            ((HALF, s), quarter + s),
-            ((s, HALF), quarter + s),
+        corner_claims += [
             ((HALF - s / 2, s), closed),
             ((s, HALF - s / 2), closed),
         ]

@@ -11,7 +11,7 @@ a time can keep its parent map up to date in place instead of re-rooting.
 
 from __future__ import annotations
 
-from linewidth.graphs import DomainError
+from linewidth.graphs import DomainError, reach
 
 
 def adjacency(nodes, edges) -> dict[int, set[int]]:
@@ -36,16 +36,7 @@ def check_tree(adj) -> None:
     edge_count = sum(len(s) for s in adj.values()) // 2
     if edge_count != n - 1:
         raise DomainError("node/edge counts do not form a tree")
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    if len(reach(adj.__getitem__, next(iter(adj)))) != n:
         raise DomainError("tree is not connected")
 
 

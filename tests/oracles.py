@@ -316,7 +316,7 @@ def tree_congestion_by_search(g: Graph) -> tuple[int, LeafEmbedding]:
         found = TreeSearch(g, order).run(path_cert.value, delta)
         if found is not None:
             return found
-    return path_cert.value, caterpillar_embedding(path_cert.ordering, g)
+    return path_cert.value, caterpillar_embedding(path_cert.ordering)
 
 
 def bfs_tree_path(adj, a: int, b: int) -> list[int]:

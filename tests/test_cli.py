@@ -132,6 +132,18 @@ def test_construct_expand_improved_normalize_transform(tmp_path, capsys):
     assert code == 0
 
 
+def test_construct_improved_from_a_path_decomposition(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    run(["gen", "path-power", "7", "2", "-o", gr], capsys)
+    code, out, _ = run(["exact", "pw", gr], capsys)
+    assert code == 0 and out.splitlines()[0] == "pw 2"
+    # read as a path, the input gets the path closed form, below the tree's 29/3
+    code, out, _ = run(["construct", "improved", tmp_path / "g.pw.td", "--graph", gr, "--path"], capsys)
+    assert code == 0 and out.splitlines()[:2] == ["width 4", "closed-form 9"]
+    code, out, _ = run(["validate", tmp_path / "g.pw.improved.td", "--graph", gr, "--line"], capsys)
+    assert code == 0 and out.startswith("valid width")
+
+
 def test_validate_reports_violation(tmp_path, capsys):
     gr = tmp_path / "k2.gr"
     gr.write_text("p tw 2 1\n1 2\n")
@@ -268,6 +280,18 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ({}, ["verify", "theorems", "--max-n", "0", "--random", "0"], "must be positive"),
         ({}, ["verify", "theorems", "--max-n", "-2", "--random", "0"], "must be positive"),
         ({}, ["sharp", "g.gr", "--params", "12", "3"], "--params is only read with --family"),
+        (
+            # three tree edges on four nodes, but a triangle and a lone node
+            {"w.td": "s td 4 1 2\nb 1 1\nb 2 2\nb 3 1\nb 4 2\n1 2\n2 3\n1 3\n"},
+            ["validate", "w.td"],
+            "tree is not connected",
+        ),
+        (
+            {"w.emb": "s emb 2 2\nt 1 2\nl 1 1\nl 2 2\n"},
+            ["validate", "w.emb", "--line"],
+            "--line applies to a .td witness, not a .emb",
+        ),
+        ({"w.ord": "s ord 2\n1 2\n"}, ["validate", "w.ord", "--line"], "not a .ord"),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
@@ -278,6 +302,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "emb-domain", "ord-domain",
         "resolution-0", "resolution-0-grid", "random-negative",
         "max-n-0", "max-n-negative", "sharp-params-no-family",
+        "td-not-connected", "line-emb", "line-ord",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
@@ -388,7 +413,19 @@ def test_usage_error_exit_code(capsys):
         err = capsys.readouterr().err
         assert "argument --s: invalid fraction value" in err
         assert "Traceback" not in err
-    # each appendix check takes only the flags it reads
+    # each appendix check and construct mode takes only the flags it reads,
+    # and exact writes its witness to -o or to no file
+    for argv in (
+        ["construct", "tree", "t.gr", "--graph", "g.gr"],
+        ["construct", "tree", "t.gr", "--path"],
+        ["construct", "expand", "d.td"],
+        ["construct", "improved", "d.td", "--path"],
+        ["exact", "tw", "g.gr", "--no-witness", "-o", "x.td"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
     for args in (["c", "--s", "1/5"], ["a", "--parity", "odd"], ["b", "--mode", "full"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "appendix", *args])

@@ -287,7 +287,7 @@ def test_partial_congestion_is_monotone(g):
 def test_caterpillar_matches_ordering_congestion():
     g = cycle_graph(5)
     cert = min_path_congestion(g)
-    emb = caterpillar_embedding(cert.ordering, g)
+    emb = caterpillar_embedding(cert.ordering)
     assert vertex_congestion(emb, g)[0] == cert.value
 
 

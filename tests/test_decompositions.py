@@ -14,6 +14,7 @@ from linewidth.congestion import (
     vertex_congestion,
 )
 from linewidth.decompositions import (
+    BaseNodeAssignment,
     PathDecomposition,
     SUBJECT_GRAPH,
     SUBJECT_LINE,
@@ -25,6 +26,7 @@ from linewidth.decompositions import (
     limit_tree_degree,
     line_to_graph_decomposition,
     normalize_line_decomposition,
+    parse_td,
     validate,
     width,
 )
@@ -161,6 +163,9 @@ def test_structure_errors_at_construction():
         TreeDecomposition([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: set(), 2: set(), 3: set()})
     with pytest.raises(DomainError):  # disconnected
         TreeDecomposition([1, 2, 3], [(1, 2)], {1: set(), 2: set(), 3: set()})
+    # n - 1 = 3 edges, but a triangle on 1-3 and node 4 alone
+    with pytest.raises(DomainError, match="tree is not connected"):
+        parse_td("s td 4 1 2\nb 1 1\nb 2 2\nb 3 1\nb 4 2\n1 2\n2 3\n1 3\n")
 
 
 def test_expand_star_decomposition():
@@ -251,6 +256,63 @@ def test_normalize_is_width_safe_and_monotone(g):
     for node in form.decomposition.nodes:
         if node in d.bags:
             assert form.decomposition.bags[node] <= d.bags[node]
+
+
+def _form_from_tree(g, edges, base):
+    """The decomposition read off the leaf embedding (edges, base) of g."""
+    nodes = sorted({x for e in edges for x in e})
+    return decomposition_from_embedding(LeafEmbedding(nodes, edges, base), g)
+
+
+# P4 on leaves 1..4 under internal nodes 6 and 7, with the root 5 between
+P4_TREE = [(5, 6), (5, 7), (6, 1), (6, 2), (7, 3), (7, 4)]
+P4_BASE = {1: 1, 2: 2, 3: 3, 4: 4}
+
+
+def test_leaf_base_form_holds_for_a_binary_tree_with_one_root():
+    g = path_graph(4)
+    td, base = _form_from_tree(g, P4_TREE, P4_BASE)
+    assert is_leaf_base_form(td, base, g)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        {**P4_BASE, 1: 6},  # base on an internal node
+        {**P4_BASE, 1: 3, 3: 1},  # two bases swapped
+        {1: 1, 2: 2, 3: 3},  # vertex 4 has no base
+    ],
+    ids=["base-internal", "bases-swapped", "vertex-missing"],
+)
+def test_leaf_base_form_refuses_a_broken_base(base):
+    g = path_graph(4)
+    td, _ = _form_from_tree(g, P4_TREE, P4_BASE)
+    assert not is_leaf_base_form(td, BaseNodeAssignment(base), g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # leaf 9 under a third internal node 8 hosts no vertex
+        [(5, 6), (5, 7), (6, 1), (6, 2), (7, 3), (7, 8), (8, 4), (8, 9)],
+        # node 8 subdivides the tree edge 6-1: a second degree-2 node
+        [(5, 6), (5, 7), (6, 8), (8, 1), (6, 2), (7, 3), (7, 4)],
+    ],
+    ids=["leaf-without-vertex", "second-degree-2-node"],
+)
+def test_leaf_base_form_refuses_a_tree_of_the_wrong_shape(edges):
+    # the bags are the embedding's own edge paths, so only the shape is wrong
+    g = path_graph(4)
+    td, base = _form_from_tree(g, edges, P4_BASE)
+    assert not is_leaf_base_form(td, base, g)
+
+
+def test_leaf_base_form_refuses_a_bag_missing_an_edge_id():
+    g = path_graph(4)
+    td, base = _form_from_tree(g, P4_TREE, P4_BASE)
+    bags = {**td.bags, 5: td.bags[5] - {2}}  # edge 2 = {2,3} crosses the root
+    short = TreeDecomposition(td.nodes, td.tree_edges, bags, SUBJECT_LINE)
+    assert not is_leaf_base_form(short, base, g)
 
 
 def test_line_to_graph_triangle():

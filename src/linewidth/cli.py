@@ -6,6 +6,11 @@ stderr, except one: ``validate`` given a well-formed ``.td`` that fails a
 decomposition condition prints ``invalid <condition>: <witness>`` to stdout
 and exits 1 with nothing on stderr.  All output is plain text with stable
 field ordering so runs can be compared byte for byte.
+
+Each command is a fresh process, and no bytecode cache is assumed to exist,
+so every module imported is compiled again at each start.  Module level
+therefore holds only what the parser and the file helpers need; each
+``_cmd_*`` handler imports the solvers and formats it runs.
 """
 
 from __future__ import annotations
@@ -16,39 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from linewidth import __version__
-from linewidth.bounds import (
-    bounds_report,
-    format_value,
-    improved_upper_construction,
-    tree_line_decomposition,
-)
-from linewidth.congestion import (
-    LeafEmbedding,
-    cutwidth,
-    format_emb,
-    format_ord,
-    min_path_congestion,
-    min_tree_congestion,
-    parse_emb,
-    read_ord,
-)
-from linewidth.decompositions import (
-    SUBJECT_GRAPH,
-    SUBJECT_LINE,
-    as_path_decomposition,
-    expand_to_line,
-    format_td,
-    line_to_graph_decomposition,
-    normalize_line_decomposition,
-    parse_td,
-    validate,
-    width,
-)
-from linewidth.exact import exact_pathwidth, exact_treewidth
-from linewidth.families import FAMILY_NAMES, FamilySpec, generate, sharp_embedding
+from linewidth.families import FAMILY_NAMES
 from linewidth.graphs import DomainError, format_gr, read_gr, read_text, records, write_text
-from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
-from linewidth.suite import run_theorem_checks
 
 
 def main(argv=None) -> int:
@@ -193,19 +167,26 @@ def _cmd_exact(args) -> int:
     g = read_gr(args.graph)
     limit = {} if args.limit is None else {"max_vertices": args.limit}
     q = args.quantity
-    if q == "tw":
-        res = exact_treewidth(g, **limit)
-        value, text, suffix = res.width, format_td(res.decomposition, g), "tw.td"
-    elif q == "pw":
-        res = exact_pathwidth(g, **limit)
-        value, text, suffix = res.width, format_td(res.decomposition, g), "pw.td"
+    if q in ("tw", "pw"):
+        from linewidth.decompositions import format_td
+        from linewidth.exact import exact_pathwidth, exact_treewidth
+
+        solve = exact_treewidth if q == "tw" else exact_pathwidth
+        res = solve(g, **limit)
+        value, text, suffix = res.width, format_td(res.decomposition, g), f"{q}.td"
     elif q == "cw":
+        from linewidth.congestion import cutwidth, format_ord
+
         cert = cutwidth(g, **limit)
         value, text, suffix = cert.value, format_ord(cert.ordering), "cw.ord"
     elif q == "con":
+        from linewidth.congestion import format_emb, min_tree_congestion
+
         cert = min_tree_congestion(g, **limit)
         value, text, suffix = cert.value, format_emb(cert.embedding, g), "con.emb"
     else:
+        from linewidth.congestion import format_ord, min_path_congestion
+
         cert = min_path_congestion(g, **limit)
         value, text, suffix = cert.value, format_ord(cert.ordering), "pcon.ord"
     print(f"{q} {value}")
@@ -217,6 +198,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from linewidth.bounds import bounds_report
+
     g = read_gr(args.graph)
     report = bounds_report(g, compute_exact=args.exact)
     sys.stdout.write(report.to_text())
@@ -224,6 +207,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct_tree(args) -> int:
+    from linewidth.bounds import tree_line_decomposition
+    from linewidth.decompositions import format_td, width
+
     t = read_gr(args.input)
     dec = tree_line_decomposition(t)
     out = args.output or args.input.with_suffix(".line.td")
@@ -233,6 +219,14 @@ def _cmd_construct_tree(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from linewidth.decompositions import (
+        as_path_decomposition,
+        expand_to_line,
+        format_td,
+        parse_td,
+        width,
+    )
+
     g = read_gr(args.graph)
     td = _read_witness(args.input, parse_td, g.n)
     dec_in = as_path_decomposition(td) if args.path else td
@@ -242,6 +236,8 @@ def _cmd_construct(args) -> int:
         print(f"width {width(dec)}")
         _write(out, format_td(dec, g))
         return 0
+    from linewidth.bounds import format_value, improved_upper_construction
+
     built = improved_upper_construction(g, dec_in)
     out = args.output or args.input.with_suffix(".improved.td")
     print(f"width {built.width}")
@@ -253,6 +249,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from linewidth.congestion import LeafEmbedding, format_emb
+    from linewidth.decompositions import (
+        SUBJECT_LINE,
+        format_td,
+        normalize_line_decomposition,
+        parse_td,
+        width,
+    )
+
     g = read_gr(args.graph)
     td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     form = normalize_line_decomposition(td, g)
@@ -267,6 +272,14 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from linewidth.decompositions import (
+        SUBJECT_LINE,
+        format_td,
+        line_to_graph_decomposition,
+        parse_td,
+        width,
+    )
+
     g = read_gr(args.graph)
     td = _read_witness(args.decomposition, parse_td, g.edge_count, SUBJECT_LINE)
     dec = line_to_graph_decomposition(td, g)
@@ -277,6 +290,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from linewidth.families import FamilySpec, generate
+
     spec = FamilySpec(args.family, tuple(args.params))
     g = generate(spec)
     text = format_gr(g, comments=[f"family {spec.label()}"])
@@ -284,7 +299,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_family(path: Path) -> FamilySpec | None:
+def _read_family(path: Path):
+    """The family spec recorded in a .gr's comments, or None."""
+    from linewidth.families import FamilySpec
+
     for line in read_text(path).splitlines():
         parts = line.split()
         if len(parts) >= 2 and parts[0] == "c" and parts[1] == "family":
@@ -295,6 +313,10 @@ def _read_family(path: Path) -> FamilySpec | None:
 
 
 def _cmd_sharp(args) -> int:
+    from linewidth.congestion import format_ord
+    from linewidth.decompositions import format_td
+    from linewidth.families import FamilySpec, sharp_embedding
+
     if args.family is not None:
         spec = FamilySpec(args.family, tuple(args.params or ()))
     elif args.params is not None:
@@ -322,15 +344,21 @@ def _cmd_validate(args) -> int:
     if args.line and suffix in (".emb", ".ord"):
         raise DomainError(f"--line applies to a .td witness, not a {suffix}")
     if suffix == ".emb":
+        from linewidth.congestion import parse_emb
+
         emb = _read_witness(args.witness, parse_emb, g.n)
         emb.check(g)
         print("valid embedding")
         return 0
     if suffix == ".ord":
+        from linewidth.congestion import read_ord
+
         order = read_ord(args.witness)
         order.check(g)
         print("valid ordering")
         return 0
+    from linewidth.decompositions import SUBJECT_GRAPH, SUBJECT_LINE, parse_td, validate, width
+
     subject, count = (SUBJECT_LINE, g.edge_count) if args.line else (SUBJECT_GRAPH, g.n)
     td = _read_witness(args.witness, parse_td, count, subject)
     report = validate(td, g)
@@ -342,6 +370,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
+    from linewidth.bounds import format_value
+    from linewidth.optcheck import max_grid_partition, min_balanced_split, min_degree_split
+
     grid = {} if args.resolution is None else {"resolution": args.resolution}
     if args.which == "a":
         res = min_balanced_split(args.s, **grid)
@@ -364,6 +395,8 @@ def _cmd_verify_appendix(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
+    from linewidth.suite import run_theorem_checks
+
     lines = run_theorem_checks(args.max_n, args.random, args.seed)
     ok = True
     for line in lines:

@@ -16,6 +16,9 @@ decomposition of the line graph whose width matches the minimum-degree
 bound (exactly for even minimum degree).  For grid-cliques the whole group
 of a grid vertex (the vertex plus its pendant cliques) shares its position,
 which keeps the width linear in n however large the grid gets.
+
+The functions that build decompositions or solve import what they call, so
+reading `FAMILY_NAMES`, as the command-line parser does, loads no solver.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from linewidth.congestion import LinearOrdering
-from linewidth.decompositions import PathDecomposition, SUBJECT_LINE, width
-from linewidth.exact import exact_treewidth
 from linewidth.graphs import (
     DomainError,
     Graph,
@@ -44,6 +44,11 @@ _PARAM_COUNT = {
 }
 
 FAMILY_NAMES = tuple(_PARAM_COUNT)
+
+# The most edges a family graph may have.  A spec above it is refused before
+# anything is built: building and writing 245,000 edges took 0.6 s and
+# 107 MB (Python 3.11), and the memory grows with the edge count.
+FAMILY_EDGE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ class FamilySpec:
                 raise DomainError("grid-cliques requires n >= 3")
             if k < 4:
                 raise DomainError("grid-cliques requires k >= 4 (the grid max degree)")
+        m = self.edge_count()
+        if m > FAMILY_EDGE_LIMIT:
+            raise DomainError(
+                f"{self.label()} has {m} edges, above the limit of {FAMILY_EDGE_LIMIT}"
+            )
 
     @classmethod
     def parse(cls, tokens) -> "FamilySpec":
@@ -92,6 +102,27 @@ class FamilySpec:
 
     def label(self) -> str:
         return " ".join([self.family, *map(str, self.params)])
+
+    def edge_count(self) -> int:
+        """The edge count of the graph `generate` builds, from the
+        parameters alone."""
+        if self.family == "complete":
+            (n,) = self.params
+            return n * (n - 1) // 2
+        if self.family == "complete-bipartite":
+            p, q = self.params
+            return p * q
+        n, k = self.params
+        if self.family == "path-power":
+            return n * k - k * (k + 1) // 2
+        if self.family == "cycle-power":
+            return n * k
+        if self.family == "cycle-power-matched":
+            return n * k - k - (len(range(k + 1, n - k, 2)) if n % 2 == 0 else 0)
+        # grid-cliques: the grid, plus k - deg(v) pendant cliques at each
+        # grid vertex v, each of k + 1 vertices and one attaching edge
+        grid = 2 * n * (n - 1)
+        return grid + (k * n * n - 2 * grid) * (1 + k * (k + 1) // 2)
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -171,6 +202,8 @@ def positional_line_decomposition(g: Graph, positions: dict[int, int]) -> PathDe
     necessarily injective): bag i holds the edges whose endpoint positions
     straddle i.  Always valid; the bag at a vertex's position contains all
     of its incident edges."""
+    from linewidth.decompositions import SUBJECT_LINE, PathDecomposition
+
     for v in g.non_isolated_vertices():
         if v not in positions:
             raise DomainError(f"vertex {v} has no position")
@@ -200,6 +233,9 @@ def sharp_embedding(spec: FamilySpec, graph_file: Graph | None = None) -> SharpC
     of the line graph: vertex i at path position i for the power families,
     whole grid groups sharing a position for grid-cliques.  A graph read
     from a file is checked against the family graph this generates."""
+    from linewidth.congestion import LinearOrdering
+    from linewidth.decompositions import width
+
     if spec.family in ("path-power", "cycle-power", "cycle-power-matched"):
         n, k = spec.params
         g = generate(spec)
@@ -248,6 +284,8 @@ def bipartite_lower_check(p: int, q: int) -> BipartiteCheck:
     """pq/2 - 1 <= tw(L(K_{p,q})), checked against the exact solver.
     L(K_{p,q}) has pq vertices (the clique-product grid), so pq must stay
     within the solver limit."""
+    from linewidth.exact import exact_treewidth
+
     spec = FamilySpec("complete-bipartite", (p, q))
     lg, _ = line_graph(generate(spec))
     exact = exact_treewidth(lg).width

@@ -29,6 +29,14 @@ from linewidth.graphs import DomainError
 
 HALF = Fraction(1, 2)
 
+# The largest resolution each grid search accepts.  At the limit a search
+# takes a few seconds (2-CPU machine, Python 3.11): about 4 s for checks a
+# and b, whose cost grows a little faster than the resolution N, and 3 s
+# (fast) or 6 s (full) for check c, whose cost grows as N^4 (fast) or N^7
+# (full).
+GRID_LIMIT = 50_000
+PARTITION_LIMITS = {"fast": 64, "full": 16}
+
 
 @dataclass(frozen=True)
 class CornerCheck:
@@ -74,6 +82,8 @@ def _grid_minimize(objective, s, resolution, threshold, corner_claims):
         raise DomainError("s must satisfy 0 < s <= 1/2")
     if resolution < 1:
         raise DomainError("resolution must be positive")
+    if resolution > GRID_LIMIT:
+        raise DomainError(f"resolution {resolution} exceeds the limit of {GRID_LIMIT}")
     corners = tuple(
         CornerCheck(
             (a, b),
@@ -164,8 +174,12 @@ def max_grid_partition(resolution: int = 8, mode: str = "fast") -> GridSearchRes
     a3 = 0 (z3 = x3*y3), z1 = z2 = 0, where balance forces x1y1 = x2y2."""
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
-    if mode not in ("fast", "full"):
+    if mode not in PARTITION_LIMITS:
         raise DomainError("mode must be 'fast' or 'full'")
+    if resolution > PARTITION_LIMITS[mode]:
+        raise DomainError(
+            f"resolution {resolution} exceeds the {mode}-mode limit of {PARTITION_LIMITS[mode]}"
+        )
     r = resolution
     fast = mode == "fast"
 

@@ -276,6 +276,23 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ),
         ({}, ["verify", "appendix", "a", "--resolution", "0"], "resolution must be positive"),
         ({}, ["verify", "appendix", "c", "--resolution", "0"], "resolution must be at least 4"),
+        ({}, ["verify", "appendix", "a", "--resolution", "50001"], "exceeds the limit of 50000"),
+        (
+            {},
+            ["verify", "appendix", "b", "--parity", "odd", "--resolution", "50001"],
+            "exceeds the limit of 50000",
+        ),
+        ({}, ["verify", "appendix", "c", "--resolution", "65"], "the fast-mode limit of 64"),
+        (
+            {},
+            ["verify", "appendix", "c", "--mode", "full", "--resolution", "17"],
+            "the full-mode limit of 16",
+        ),
+        (
+            {},
+            ["gen", "complete", "633", "-o", "k.gr"],
+            "complete 633 has 200028 edges, above the limit of 200000",
+        ),
         ({}, ["verify", "theorems", "--max-n", "2", "--random", "-1"], "must be nonnegative"),
         ({}, ["verify", "theorems", "--max-n", "0", "--random", "0"], "must be positive"),
         ({}, ["verify", "theorems", "--max-n", "-2", "--random", "0"], "must be positive"),
@@ -300,7 +317,9 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "td-repeated-element", "td-header-n", "line-td-header-n", "emb-header-n",
         "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
         "emb-domain", "ord-domain",
-        "resolution-0", "resolution-0-grid", "random-negative",
+        "resolution-0", "resolution-0-grid",
+        "resolution-a-limit", "resolution-b-limit", "resolution-c-fast-limit",
+        "resolution-c-full-limit", "gen-edge-limit", "random-negative",
         "max-n-0", "max-n-negative", "sharp-params-no-family",
         "td-not-connected", "line-emb", "line-ord",
     ],
@@ -319,6 +338,66 @@ def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+# run one command in a fresh process, then print the linewidth modules it loaded
+LOADED_AFTER_MAIN = (
+    "import sys\n"
+    "from linewidth.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('linewidth.')))\n"
+    "sys.exit(code)\n"
+)
+SOLVERS = {"decompositions", "exact"}
+SUITES = {"bounds", "suite", "optcheck", "smallgraphs"}
+
+
+@pytest.fixture(scope="module")
+def witness_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("witnesses")
+    gr = str(d / "f.gr")
+    for argv in (
+        ["gen", "path-power", "7", "2", "-o", gr],
+        ["exact", "tw", gr],
+        ["exact", "con", gr],
+        ["exact", "cw", gr],
+        ["sharp", gr],
+    ):
+        assert main(argv) == 0
+    return d
+
+
+IMPORT_CASES = [
+    (["exact", "cw", "f.gr", "--no-witness"], SOLVERS | SUITES),
+    (["exact", "con", "f.gr", "--no-witness"], SOLVERS | SUITES),
+    (["exact", "pcon", "f.gr", "--no-witness"], SOLVERS | SUITES),
+    (["validate", "f.con.emb", "--graph", "f.gr"], SOLVERS | SUITES),
+    (["validate", "f.cw.ord", "--graph", "f.gr"], SOLVERS | SUITES),
+    (["gen", "complete", "4", "-o", "k4.gr"], SOLVERS | SUITES),
+    (["exact", "tw", "f.gr", "--no-witness"], SUITES),
+    (["exact", "pw", "f.gr", "--no-witness"], SUITES),
+    (["sharp", "f.gr", "-o", "s.td"], SUITES),
+    (["normalize", "f.sharp.td", "--graph", "f.gr", "-o", "n.td"], SUITES),
+    (["transform", "lg-to-g", "f.sharp.td", "--graph", "f.gr", "-o", "t.td"], SUITES),
+    (["validate", "f.tw.td", "--graph", "f.gr"], SUITES),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded", IMPORT_CASES, ids=["-".join(argv[:2]) for argv, _ in IMPORT_CASES]
+)
+def test_command_imports_only_what_it_runs(witness_dir, argv, unloaded):
+    """Each command is a fresh process that compiles what it imports, so a
+    command loads no solver or suite it does not call."""
+    env = dict(os.environ, PYTHONPATH=str(Path(linewidth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+        cwd=witness_dir, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("linewidth.") for m in proc.stdout.splitlines()[-1].split()}
+    assert "cli" in loaded
+    assert not loaded & unloaded, sorted(loaded & unloaded)
 
 
 FUZZ_TOKENS = ["0", "-1", "7", "13", "99", "x", "2.5", "p", "s", "b", "t", "l", "td", "emb"]

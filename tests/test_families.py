@@ -6,6 +6,7 @@ from linewidth.congestion import LinearOrdering
 from linewidth.decompositions import validate, width
 from linewidth.exact import exact_pathwidth
 from linewidth.families import (
+    FAMILY_EDGE_LIMIT,
     BipartiteCheck,
     FamilySpec,
     bipartite_lower_check,
@@ -82,6 +83,40 @@ def test_generate_is_deterministic_bytes():
     a = format_gr(generate(FamilySpec("grid-cliques", (3, 4))))
     b = format_gr(generate(FamilySpec("grid-cliques", (3, 4))))
     assert a == b
+
+
+def test_edge_count_matches_the_generated_graph():
+    for n in range(1, 10):
+        specs = [FamilySpec("complete", (n,))]
+        specs += [FamilySpec("complete-bipartite", (n, q)) for q in range(1, n + 1)]
+        specs += [
+            FamilySpec(family, (n, k))
+            for family in ("path-power", "cycle-power", "cycle-power-matched")
+            for k in range(1, (n - 1) // 2 + 1)
+        ]
+        specs += [FamilySpec("grid-cliques", (n, k)) for k in (4, 5, 6) if n >= 3]
+        for spec in specs:
+            assert spec.edge_count() == generate(spec).edge_count, spec.label()
+
+
+@pytest.mark.parametrize(
+    "family, params, edges",
+    [
+        ("complete", (633,), 200028),
+        ("complete-bipartite", (448, 447), 200256),
+        ("path-power", (100002, 2), 200001),
+        ("cycle-power", (100001, 2), 200002),
+        ("cycle-power-matched", (200003, 1), 200002),
+        ("grid-cliques", (306, 4), 200124),
+    ],
+)
+def test_spec_above_the_edge_limit_is_refused_before_building(family, params, edges):
+    # the smallest graph of each family past the limit: refused by the spec
+    # itself, so generate is never reached
+    label = " ".join([family, *map(str, params)])
+    with pytest.raises(DomainError, match=f"^{label} has {edges} edges, above the limit of 200000$"):
+        FamilySpec(family, params)
+    assert FamilySpec("cycle-power", (100000, 2)).edge_count() == FAMILY_EDGE_LIMIT
 
 
 def test_sharp_path_power():

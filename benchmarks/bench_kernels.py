@@ -1,6 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the compiled subset-DP kernels against the pure-Python fallback.
 
+Each ``path_congestion_table`` row also times the pure-Python search
+(``path_congestion_search``) on the same graph, in the ``search`` column,
+so the rows show where the search overtakes each backend's fill; the
+solvers switch to it on the pure backend at
+``kernels.PATH_SEARCH_MIN_VERTICES``.  Without the compiled kernels the
+``compiled`` column is left empty.
+
 Usage, from a checkout (``src`` on the import path, as for the tests):
   PYTHONPATH=src python benchmarks/bench_kernels.py           # quick sizes
   PYTHONPATH=src python benchmarks/bench_kernels.py --full    # up to the solver limits
@@ -43,28 +50,37 @@ def main() -> None:
     args = parser.parse_args()
 
     impls = backends()
+    pure_impl = impls["pure-python"]
+    compiled = impls.get("compiled")
     print(f"selected backend: {BACKEND}; available: {', '.join(impls)}")
-    if len(impls) < 2:
-        print("compiled kernels not built; nothing to compare")
-        return
 
     sizes = {
         "treewidth_table": [10, 12, 14] + ([16, 18, 20] if args.full else []),
         "vertex_separation_table": [12, 14, 16] + ([18, 20] if args.full else []),
         "cutwidth_table": [12, 14, 16] + ([18, 20] if args.full else []),
-        "path_congestion_table": [12, 14, 16] + ([18, 20] if args.full else []),
+        "path_congestion_table": [8, 10, 11, 12, 13, 14, 16] + ([18, 20] if args.full else []),
         "tree_congestion_table": [10, 12, 14] + ([16] if args.full else []),
     }
-    header = f"{'kernel':<26} {'n':>3} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}"
+    header = (
+        f"{'kernel':<26} {'n':>3} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}"
+        f" {'search (s)':>11}"
+    )
     print(header)
     print("-" * len(header))
     for name in KERNELS:
         for n in sizes[name]:
             masks = random_masks(n, args.seed)
-            pure = time_call(getattr(impls["pure-python"], name), masks)
-            comp = time_call(getattr(impls["compiled"], name), masks)
-            speedup = pure / comp if comp > 0 else float("inf")
-            print(f"{name:<26} {n:>3} {pure:>10.4f} {comp:>13.4f} {speedup:>7.1f}x")
+            pure = time_call(getattr(pure_impl, name), masks)
+            row = f"{name:<26} {n:>3} {pure:>10.4f}"
+            if compiled is None:
+                row += f" {'-':>13} {'-':>8}"
+            else:
+                comp = time_call(getattr(compiled, name), masks)
+                speedup = pure / comp if comp > 0 else float("inf")
+                row += f" {comp:>13.4f} {speedup:>7.1f}x"
+            if name == "path_congestion_table":
+                row += f" {time_call(pure_impl.path_congestion_search, masks):>11.4f}"
+            print(row)
 
 
 if __name__ == "__main__":

@@ -141,14 +141,19 @@ def validate(d, g: Graph) -> ValidationReport:
     adjacent pairs are the pairs of edge ids at a common vertex, and an
     element's nodes are connected exactly when they span one tree edge
     fewer than their number (a forest has one edge fewer than nodes per
-    component).
+    component).  Once they are, every element's nodes form a subtree, and
+    subtrees that meet pairwise share a node (the Helly property), so the
+    pairs at a vertex are covered exactly when the node sets of its edges
+    have a common node.  That is checked once per vertex; the pair scan,
+    which names the least uncovered pair, runs only if some vertex fails.
     """
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
     if d.subject == SUBJECT_GRAPH:
         size, kind, pairs = g.n, "vertex", g.edges
     else:
         size, kind = g.edge_count, "edge id"
-        pairs = (p for ids in incident_edge_ids(g) for p in combinations(ids, 2))
+        incident = incident_edge_ids(g)
+        pairs = (p for ids in incident for p in combinations(ids, 2))
     occ = occurrences(td.bags)
     for x, nodes in occ.items():
         if not (1 <= x <= size):
@@ -171,6 +176,11 @@ def validate(d, g: Graph) -> ValidationReport:
                 "element-connectivity",
                 f"bags containing {kind} {x} do not form a connected subtree",
             )
+    if d.subject == SUBJECT_LINE and all(
+        len(ids) < 2 or occ[ids[0]].intersection(*(occ[x] for x in ids[1:]))
+        for ids in incident
+    ):
+        return ValidationReport(True)
     uncovered = [(u, v) for u, v in pairs if occ[u].isdisjoint(occ[v])]
     if uncovered:
         u, v = min(uncovered)

@@ -50,6 +50,13 @@ FAMILY_NAMES = tuple(_PARAM_COUNT)
 # 107 MB (Python 3.11), and the memory grows with the edge count.
 FAMILY_EDGE_LIMIT = 200_000
 
+# The most bag entries `sharp_embedding` may build.  The edge limit does not
+# bound them: path-power (2k+1) k has about 1.5k^2 edges but about k^3/1.5
+# bag entries.  They are bounded from the parameters by the bag count times
+# the closed form plus one, which no bag exceeds, and a spec whose bound is
+# above this is refused before anything is built.
+SHARP_BAG_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -232,33 +239,40 @@ def sharp_embedding(spec: FamilySpec, graph_file: Graph | None = None) -> SharpC
     """The stated sharp ordering of a family, rebuilt into a decomposition
     of the line graph: vertex i at path position i for the power families,
     whole grid groups sharing a position for grid-cliques.  A graph read
-    from a file is checked against the family graph this generates."""
+    from a file is checked against the family graph this generates.  A
+    spec whose bags may hold more than SHARP_BAG_LIMIT entries is refused
+    before anything is built."""
     from linewidth.congestion import LinearOrdering
     from linewidth.decompositions import width
 
-    if spec.family in ("path-power", "cycle-power", "cycle-power-matched"):
-        n, k = spec.params
-        g = generate(spec)
-        positions = {v: v for v in g.vertices}
-        ordering = LinearOrdering(range(1, n + 1))
-        if spec.family == "path-power":
-            closed, is_upper = (k * k + 3 * k) // 2 - 1, False
-        elif spec.family == "cycle-power":
-            closed, is_upper = k * k + 2 * k - 1, False
-        else:
-            closed = k * k + k - 1 if n % 2 else k * k + k - 2
-            is_upper = False
-    elif spec.family == "grid-cliques":
-        n, k = spec.params
+    if spec.family in ("complete", "complete-bipartite"):
+        raise DomainError(f"no sharp construction for family {spec.family!r}")
+    n, k = spec.params
+    if spec.family == "path-power":
+        closed, is_upper = (k * k + 3 * k) // 2 - 1, False
+    elif spec.family == "cycle-power":
+        closed, is_upper = k * k + 2 * k - 1, False
+    elif spec.family == "cycle-power-matched":
+        closed, is_upper = (k * k + k - 1 if n % 2 else k * k + k - 2), False
+    else:
+        closed, is_upper = 4 * n + 4 + (k - 2) * (k * (k + 1) // 2 + 1) - 1, True
+    bag_count = n * n if spec.family == "grid-cliques" else n
+    if bag_count * (closed + 1) > SHARP_BAG_LIMIT:
+        raise DomainError(
+            f"sharp construction of {spec.label()} may hold {bag_count * (closed + 1)} "
+            f"bag entries, above the limit of {SHARP_BAG_LIMIT}"
+        )
+    if spec.family == "grid-cliques":
         g, groups = _grid_cliques(n, k)
         # grid vertex i sits at i (row-major), its pendant cliques with it
         positions = {v: v for v in groups}
         for v, cliques in groups.items():
             positions.update((u, v) for members in cliques for u in members)
         ordering = None
-        closed, is_upper = 4 * n + 4 + (k - 2) * (k * (k + 1) // 2 + 1) - 1, True
     else:
-        raise DomainError(f"no sharp construction for family {spec.family!r}")
+        g = generate(spec)
+        positions = {v: v for v in g.vertices}
+        ordering = LinearOrdering(range(1, n + 1))
     if graph_file is not None and graph_file != g:
         raise DomainError(f"graph file does not match family '{spec.label()}'")
     dec = positional_line_decomposition(g, positions)

@@ -52,6 +52,26 @@ is a tree, so the last entry is still the answer.
 The last three first fill a table with cut(S) = cut(S-u) + deg u -
 2|N(u) & S|, u the lowest vertex of S; cutwidth and path congestion
 overwrite it in place.  ``_core`` mirrors these kernels bit for bit.
+
+``path_congestion_search`` has no ``_core`` twin.  It returns the path
+congestion table restricted to the subsets that can lie on an optimal
+ordering, those with t[S] <= pcon, as a dict that reads ``_BIG`` for any
+other subset.  It runs layer by layer in |S| under a threshold k, keeping
+t[S] for every layer and cut(S) for the current one.  Each v outside S
+offers S + v the candidate max(t[S], cut(S+v) + |N(v) & S|), with
+cut(S+v) = cut(S) + deg v - 2|N(v) & S|, so no cut table is filled, and
+S + v keeps the least candidate that is at most k.  By induction on |S|
+a pass holds exactly the S with t[S] <= k, each with its exact t[S]: an
+optimal last v of S leaves S - v with t[S-v] <= t[S].  k starts at the
+max degree, as pcon >= deg v at v's position.  A pass that misses the
+full set has proved pcon > k, and every optimal ordering then first goes
+above k with a candidate that pass met, so the next pass runs at the
+least candidate above k it met; the first pass that reaches the full set
+runs at k = pcon.  ``kernels.backtrack`` reads the result unchanged and
+gives the same ordering as from the full table: it only accepts t[S-v]
+<= t[S] <= pcon, so it passes over a missing S - v exactly as over the
+full table's entry above pcon, and every entry it does accept is the
+same.
 """
 
 from __future__ import annotations
@@ -221,3 +241,51 @@ def tree_congestion_table(masks, cap=_BIG):
             part = (part - 1) & rest
         table[s] = best
     return table
+
+
+class _Threshold(dict):
+    """Table entries for some subsets; every other subset reads _BIG."""
+
+    def __missing__(self, s):
+        return _BIG
+
+
+def path_congestion_search(masks):
+    n = len(masks)
+    full = (1 << n) - 1
+    verts = [(1 << v, m, m.bit_count()) for v, m in enumerate(masks)]
+    k = max((d for _, _, d in verts), default=0)
+    while True:
+        layers = [{0: 0}]  # t[S] for each S of each size, while the pass holds
+        t_of = layers[0]
+        cut_of = {0: 0}
+        over = _BIG  # the least candidate above k met
+        while cut_of and len(layers) <= n:
+            nt = {}
+            nc = {}
+            get = nt.get
+            for s, cut in cut_of.items():
+                t = t_of[s]
+                for low, m, d in verts:
+                    if s & low:
+                        continue
+                    inside = (m & s).bit_count()
+                    cand = cut + d - inside  # cut(S+v) + |N(v) & S|
+                    if cand > k:
+                        if cand < over:
+                            over = cand
+                        continue
+                    if cand < t:
+                        cand = t
+                    ns = s | low
+                    if cand < get(ns, _BIG):
+                        nt[ns] = cand
+                        nc[ns] = cut + d - 2 * inside
+            layers.append(nt)
+            t_of, cut_of = nt, nc
+        if full in t_of:
+            table = _Threshold()
+            for layer in layers:
+                table.update(layer)
+            return table
+        k = over

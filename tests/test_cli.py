@@ -97,6 +97,18 @@ def test_sharp_rejects_mismatched_family(tmp_path, capsys):
     assert code == 1 and "does not match" in err
 
 
+def test_sharp_past_the_bag_limit_is_an_error_line(tmp_path, capsys):
+    gr = tmp_path / "p.gr"
+    run(["gen", "path-power", "199", "99", "-o", gr], capsys)
+    code, out, err = run(["sharp", gr], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: sharp construction of path-power 199 99 may hold 1004751 bag entries,"
+        " above the limit of 1000000\n"
+    )
+    assert not (tmp_path / "p.sharp.td").exists()
+
+
 def test_construct_tree(tmp_path, capsys):
     gr = tmp_path / "star.gr"
     run(["gen", "complete-bipartite", "4", "1", "-o", gr], capsys)

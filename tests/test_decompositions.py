@@ -58,6 +58,19 @@ def test_validate_uncovered_edge():
     assert "{1,2}" in rep.witness
 
 
+def test_validate_line_names_the_least_uncovered_pair_at_a_vertex_of_degree_four():
+    """The four edges of a star lie along a path of bags, each edge's bags
+    connected and each two neighbouring bags sharing an edge, but no bag
+    holds all four: {1,3}, {1,4} and {2,4} share no bag, and the least is
+    named, as the pair scan names it."""
+    g = star_graph(4)
+    d = PathDecomposition([{1, 2}, {2, 3}, {3, 4}], SUBJECT_LINE)
+    rep = validate(d, g)
+    assert (rep.ok, rep.condition) == (False, "edge-coverage")
+    assert rep.witness == "adjacent pair {1,3} shares no bag"
+    assert validate(PathDecomposition([{1, 2}, {1, 2, 3, 4}, {3, 4}], SUBJECT_LINE), g).ok
+
+
 def test_validate_by_hand_example():
     g = Graph(3, [(1, 2), (1, 3)])
     d = TreeDecomposition([1, 2], [(1, 2)], {1: {1, 2}, 2: {1, 3}})

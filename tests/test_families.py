@@ -5,8 +5,10 @@ import pytest
 from linewidth.congestion import LinearOrdering
 from linewidth.decompositions import validate, width
 from linewidth.exact import exact_pathwidth
+from linewidth import families
 from linewidth.families import (
     FAMILY_EDGE_LIMIT,
+    SHARP_BAG_LIMIT,
     BipartiteCheck,
     FamilySpec,
     bipartite_lower_check,
@@ -117,6 +119,29 @@ def test_spec_above_the_edge_limit_is_refused_before_building(family, params, ed
     with pytest.raises(DomainError, match=f"^{label} has {edges} edges, above the limit of 200000$"):
         FamilySpec(family, params)
     assert FamilySpec("cycle-power", (100000, 2)).edge_count() == FAMILY_EDGE_LIMIT
+
+
+def test_sharp_refuses_above_its_bag_limit(monkeypatch):
+    # path-power 9 2 has 9 bags, none above its closed form 4 plus one entry
+    monkeypatch.setattr(families, "SHARP_BAG_LIMIT", 45)
+    assert sharp_embedding(FamilySpec("path-power", (9, 2))).width == 4
+    monkeypatch.setattr(families, "SHARP_BAG_LIMIT", 44)
+    with pytest.raises(DomainError, match="^sharp construction of path-power 9 2 may hold 45 bag "
+                       "entries, above the limit of 44$"):
+        sharp_embedding(FamilySpec("path-power", (9, 2)))
+    monkeypatch.undo()
+
+    def fail(*args):
+        raise AssertionError("built past the bag limit")
+
+    monkeypatch.setattr(families, "generate", fail)
+    monkeypatch.setattr(families, "_grid_cliques", fail)
+    # 199 bags of at most 5,049 entries: the least path-power (2k+1) k refused
+    # at the stated limit, whose 14,751 edges the edge limit lets through
+    for params, family in (((199, 99), "path-power"), ((60, 5), "grid-cliques")):
+        with pytest.raises(DomainError, match=f"above the limit of {SHARP_BAG_LIMIT}$"):
+            sharp_embedding(FamilySpec(family, params))
+    assert FamilySpec("path-power", (199, 99)).edge_count() < FAMILY_EDGE_LIMIT
 
 
 def test_sharp_path_power():

@@ -43,6 +43,14 @@ def sparse_graph(n: int, seed: int) -> Graph:
     return Graph(n, rng.sample(pairs, round(len(pairs) * rng.uniform(0.15, 0.3))))
 
 
+def dense_graph(n: int, seed: int) -> Graph:
+    """A seeded G(n, m) with density 0.5-0.8: most subsets lie on some
+    ordering within its path congestion."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(n, rng.sample(pairs, round(len(pairs) * rng.uniform(0.5, 0.8))))
+
+
 # In each, the top vertex of some subset S joins three or more components of
 # G[S - top] and skips one between them in lowest-vertex order, a vertex with
 # a neighbour outside S: a star on 6 with leaves 1, 3, 4 and 2 joined to 1
@@ -148,6 +156,88 @@ def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
             lambda s, v: oracles.cross_size(sub, s) + (sub[v] & s).bit_count(),
         )
         assert min_path_congestion(g).ordering.order == tuple(active[v] for v in order)
+
+
+def _assert_search_is_the_table_up_to_pcon(masks):
+    table = _pure.path_congestion_table(masks)
+    pcon = table[-1]
+    found = _pure.path_congestion_search(masks)
+    assert set(found) == {s for s, t in enumerate(table) if t <= pcon}
+    assert all(found[s] == table[s] for s in found)
+    missing = next((s for s, t in enumerate(table) if t > pcon), None)
+    if missing is not None:
+        assert found[missing] == _pure._BIG
+
+
+@given(graphs(min_vertices=0, max_vertices=9))
+@example(Graph(0))
+@example(Graph(1))
+@example(complete_graph(9))
+@example(TOP_JOINS_COMPONENTS[1])
+def test_search_holds_the_table_up_to_pcon(g):
+    _assert_search_is_the_table_up_to_pcon(_adjacency_masks(g, g.vertices))
+
+
+@pytest.mark.parametrize("n", [11, 12, 14, 16])
+@pytest.mark.parametrize("make", [sparse_graph, dense_graph])
+def test_search_holds_the_table_up_to_pcon_on_larger_graphs(make, n):
+    """Its keys are exactly the subsets with t[S] <= pcon, so a threshold
+    that overshoots pcon fails here, though its value and ordering agree."""
+    for seed in range(2 if n < 16 else 1):
+        g = make(n, 100 * n + seed)
+        _assert_search_is_the_table_up_to_pcon(_adjacency_masks(g, g.vertices))
+
+
+def _table_order(g):
+    """min_path_congestion's value and ordering, read from the full pure
+    table with the path congestion cost."""
+    active = g.non_isolated_vertices()
+    masks = _adjacency_masks(g, active)
+    table = _pure.path_congestion_table(masks)
+    cost = lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count()
+    return table[-1], tuple(active[v] for v in kernels.backtrack(table, len(masks), cost))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 15])
+@pytest.mark.parametrize("make", [sparse_graph, dense_graph])
+def test_min_path_congestion_reads_the_table_ordering_either_side_of_the_crossover(
+    monkeypatch, make, n
+):
+    monkeypatch.setattr(kernels, "BACKEND", "pure-python")
+    searched = Counter()
+    real = kernels.path_congestion_search
+
+    def counted(masks):
+        searched[len(masks)] += 1
+        return real(masks)
+
+    monkeypatch.setattr(kernels, "path_congestion_search", counted)
+    for seed in range(3):
+        g = make(n, 1000 * n + seed)
+        searched.clear()
+        cert = min_path_congestion(g)
+        assert (cert.value, cert.ordering.order) == _table_order(g)
+        active = len(g.non_isolated_vertices())
+        assert searched == ({active: 1} if active >= kernels.PATH_SEARCH_MIN_VERTICES else {})
+
+
+def test_compiled_backend_fills_the_whole_table(monkeypatch, fills):
+    monkeypatch.setattr(kernels, "BACKEND", "compiled")
+    monkeypatch.setattr(kernels, "path_congestion_search", None)  # a search would fail
+    g = dense_graph(13, 5)
+    cert = min_path_congestion(g)
+    assert (cert.value, cert.ordering.order) == _table_order(g)
+    assert fills == {"path_congestion_table": 1}
+
+
+def test_a_repeat_path_congestion_solve_runs_no_search(monkeypatch):
+    g = sparse_graph(14, 7)
+    assert len(g.non_isolated_vertices()) >= kernels.PATH_SEARCH_MIN_VERTICES
+    monkeypatch.setattr(kernels, "BACKEND", "pure-python")
+    first = min_path_congestion(g)
+    monkeypatch.setattr(kernels, "path_congestion_search", None)  # a second search would fail
+    again = min_path_congestion(g)
+    assert (again.value, again.ordering) == (first.value, first.ordering)
 
 
 def test_elimination_reach_across_eliminated_set():
@@ -286,7 +376,7 @@ def test_solvers_refuse_before_masks_or_fills(monkeypatch, solver, limit, name):
     def fail(*args):
         raise AssertionError("reached past the limit check")
 
-    for attr in KERNELS + ("_adjacency_masks",):
+    for attr in KERNELS + ("path_congestion_search", "_adjacency_masks"):
         monkeypatch.setattr(kernels, attr, fail)
     with pytest.raises(SolverLimitError, match=f"^{name} solver: instance size {limit + 1} "):
         solver(path_graph(limit + 1))

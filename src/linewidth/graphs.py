@@ -162,15 +162,25 @@ def minimal_dense_vertex_set(g: Graph) -> tuple[int, ...]:
     least set).  The result H satisfies d(H) >= d(g) and deleting any
     nonempty proper vertex subset of H strictly lowers its average degree.
 
-    Exhaustive over all 2^n - 1 subsets; n is capped at DENSE_LIMIT, read
-    at each call, because of that.
+    Exhaustive over the nonempty subsets of a core of g; n is capped at
+    DENSE_LIMIT, read at each call, because the core can be all of g.  Let
+    r be the largest e(S) // |S| met while peeling a vertex of least degree
+    at a time off g.  With edges present, every vertex of a fewest-vertex
+    maximizer H has more than e(H)/|H| >= r neighbours in H, else deleting
+    it would keep the density with fewer vertices, so H lies in the
+    (r + 1)-core.  The core's vertices keep their order as bits, so the
+    scan meets its subsets in the same relative order as over all of g and
+    breaks ties the same way.
     """
     if g.n == 0:
         raise DomainError("undefined on the empty graph")
     if g.n > DENSE_LIMIT:
         raise SolverLimitError("minimal dense subgraph search", g.n, DENSE_LIMIT)
-    masks = _adjacency_masks(g, g.vertices)
-    size = 1 << g.n
+    if not g.edges:  # every single vertex has density 0: the least is vertex 1
+        return (1,)
+    core = _dense_core(g)
+    masks = _adjacency_masks(g, core)
+    size = 1 << len(core)
     # edge counts per subset: e(S) = e(S minus lowest bit) + |N(low) & S|,
     # compared with the best so far as soon as it is known; subsets come in
     # increasing order, so the first of equal size and density is least
@@ -186,7 +196,29 @@ def minimal_dense_vertex_set(g: Graph) -> tuple[int, ...]:
         diff = m * best_k - best_m * k
         if diff > 0 or (diff == 0 and k < best_k):
             best_s, best_m, best_k = s, m, k
-    return tuple(v + 1 for v in range(g.n) if best_s >> v & 1)
+    return tuple(v for i, v in enumerate(core) if best_s >> i & 1)
+
+
+def _dense_core(g: Graph) -> list[int]:
+    """The (r + 1)-core of g, in increasing order, for r the largest
+    e(S) // |S| over the sets S left while a vertex of least degree is
+    peeled off at a time; the peeling meets the core as the first set whose
+    least degree is at least r + 1."""
+    masks = _adjacency_masks(g, g.vertices)
+    alive = (1 << g.n) - 1
+    edges = len(g.edges)
+    r = 0
+    left = []  # (S, least degree in G[S]) along the peeling
+    while alive:
+        r = max(r, edges // alive.bit_count())
+        least, low = min(
+            ((masks[v] & alive).bit_count(), 1 << v) for v in range(g.n) if alive >> v & 1
+        )
+        left.append((alive, least))
+        edges -= least
+        alive ^= low
+    core = next(s for s, least in left if least > r)
+    return [v + 1 for v in range(g.n) if core >> v & 1]
 
 
 def minimal_dense_subgraph(g: Graph) -> Graph:

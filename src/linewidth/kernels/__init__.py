@@ -24,19 +24,23 @@ min(t[S], cap), exact below the cap, so its last entry is con.  The tree
 table is not memoised.  ``benchmarks/bench_kernels.py`` and the backend
 cross-check in the tests call the table functions of a backend directly.
 
-Path congestion is the one ordering kernel with two ways in.  On the pure
-backend, from PATH_SEARCH_MIN_VERTICES placed vertices on, ``solve`` runs
-``path_congestion_search``, which visits only the subsets S with t[S] <=
-pcon and gives the same value and backtracked ordering as the full table
-(the argument is in ``_pure``).  Below that, and always on the compiled
-backend, it fills the whole table.  The choice reads only n and the
-backend.  The crossover, fill plus backtrack on 30-40 seeded G(n, m) per
-n (2-CPU machine, Python 3.11): at density 0.2-0.6 the pure fill wins at
-n = 8 and the search from n = 9 on, by 2.1x at n = 12 and 2.5x at
-n = 13-15; at density 0.6-0.9 the fill wins by 12-35% at every n from 8
-to 13, and on K_n by about 2.5x, as almost every subset lies within the
-optimum there.  The compiled fill beats the pure search by 4-8x at
-n = 12-20.
+Cutwidth and path congestion each have two ways in.  On the pure
+backend, on a graph of at least SEARCH_MIN_VERTICES placed vertices with
+at most SEARCH_MAX_DENSITY percent of their pairs joined, ``solve`` runs
+``cutwidth_search`` or ``path_congestion_search``, which visit only the
+subsets S with t[S] <= the optimum and give the same value and
+backtracked ordering as the full table (the argument is in ``_pure``).
+Otherwise, and always on the compiled backend, it fills the whole table.
+The choice reads only n, the edge count and the backend.  The crossover,
+fill plus backtrack over search plus backtrack, medians of 10 seeded
+G(n, m) per n and density (2-CPU machine, Python 3.11): at density
+0.3-0.5 the search wins by 1.5-2.4x at n = 10-11 and 1.5-6.7x at
+n = 12-16; at 0.6 by 1.2-1.6x for cutwidth and 0.9-2.0x for path
+congestion from n = 12 on; at 0.7 the two are about even (0.8-1.2x), at
+0.8 the fill wins by 1.2-2x, and on K_n by 2.5x (path congestion) and 5x
+(cutwidth), as almost every subset lies within the optimum there.  Below
+12 vertices the fill stays, as it takes a few milliseconds there.  The
+compiled fill beats the pure search by 4-8x at n = 12-20.
 """
 
 from functools import lru_cache
@@ -59,13 +63,20 @@ vertex_separation_table = _impl.vertex_separation_table
 cutwidth_table = _impl.cutwidth_table
 path_congestion_table = _impl.path_congestion_table
 tree_congestion_table = _impl.tree_congestion_table
+cutwidth_search = _pure.cutwidth_search
 path_congestion_search = _pure.path_congestion_search
 
-# the pure backend searches for path congestion from this many placed
-# vertices on, and fills the whole table below; the compiled one always
-# fills.  From here the search is 2x faster at density 0.2-0.6, and at most
-# about 15% slower on graphs denser than 0.6.
-PATH_SEARCH_MIN_VERTICES = 12
+# the pure backend searches, in place of the cutwidth and path congestion
+# fills, on graphs of at least this many placed vertices with at most this
+# percentage of their vertex pairs joined; the compiled one always fills
+SEARCH_MIN_VERTICES = 12
+SEARCH_MAX_DENSITY = 60
+
+# the pure backend's search for each kernel that has one
+_SEARCHES = {
+    "cutwidth_table": "cutwidth_search",
+    "path_congestion_table": "path_congestion_search",
+}
 
 
 def check_limit(what: str, size: int, max_vertices: int) -> None:
@@ -131,15 +142,18 @@ def solve(g: Graph, vertices, solver: str, max_vertices: int) -> tuple[int, tupl
 def _fill_and_backtrack(kernel: str, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The optimum of the named ordering kernel on masks and the vertex bits
     of an optimal ordering, first to last.  The table is looked up on this
-    module at each call, so a kernel replaced here is the one that runs; on
-    the pure backend a path congestion table of PATH_SEARCH_MIN_VERTICES or
-    more vertices is path_congestion_search's."""
+    module at each call, so a kernel replaced here is the one that runs;
+    on the pure backend a cutwidth or path congestion table of at least
+    SEARCH_MIN_VERTICES vertices with at most SEARCH_MAX_DENSITY percent of
+    their pairs joined is its search's."""
     n = len(masks)
     cost = None
     if kernel == "path_congestion_table":  # c(S, v) = cut(S) + |N(v) & S|
         cost = lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count()
-        if BACKEND == "pure-python" and n >= PATH_SEARCH_MIN_VERTICES:
-            kernel = "path_congestion_search"
+    if kernel in _SEARCHES and BACKEND == "pure-python" and n >= SEARCH_MIN_VERTICES:
+        twice_m = sum(m.bit_count() for m in masks)
+        if 100 * twice_m <= SEARCH_MAX_DENSITY * n * (n - 1):
+            kernel = _SEARCHES[kernel]
     table = globals()[kernel](masks)
     return table[(1 << n) - 1], tuple(backtrack(table, n, cost))
 

@@ -53,25 +53,29 @@ The last three first fill a table with cut(S) = cut(S-u) + deg u -
 2|N(u) & S|, u the lowest vertex of S; cutwidth and path congestion
 overwrite it in place.  ``_core`` mirrors these kernels bit for bit.
 
-``path_congestion_search`` has no ``_core`` twin.  It returns the path
-congestion table restricted to the subsets that can lie on an optimal
-ordering, those with t[S] <= pcon, as a dict that reads ``_BIG`` for any
-other subset.  It runs layer by layer in |S| under a threshold k, keeping
-t[S] for every layer and cut(S) for the current one.  Each v outside S
-offers S + v the candidate max(t[S], cut(S+v) + |N(v) & S|), with
-cut(S+v) = cut(S) + deg v - 2|N(v) & S|, so no cut table is filled, and
-S + v keeps the least candidate that is at most k.  By induction on |S|
-a pass holds exactly the S with t[S] <= k, each with its exact t[S]: an
-optimal last v of S leaves S - v with t[S-v] <= t[S].  k starts at the
-max degree, as pcon >= deg v at v's position.  A pass that misses the
-full set has proved pcon > k, and every optimal ordering then first goes
-above k with a candidate that pass met, so the next pass runs at the
-least candidate above k it met; the first pass that reaches the full set
-runs at k = pcon.  ``kernels.backtrack`` reads the result unchanged and
-gives the same ordering as from the full table: it only accepts t[S-v]
-<= t[S] <= pcon, so it passes over a missing S - v exactly as over the
-full table's entry above pcon, and every entry it does accept is the
-same.
+``cutwidth_search`` and ``path_congestion_search`` have no ``_core``
+twin.  Each returns its kernel's table restricted to the subsets that can
+lie on an optimal ordering, those with t[S] <= opt (the cutwidth or
+pcon), as a dict that reads ``_BIG`` for any other subset.  They share one
+loop, layer by layer in |S| under a threshold k, keeping t[S] for every
+layer and cut(S) for the current one.  Each v outside S offers S + v the
+candidate max(t[S], c), with cut(S+v) = cut(S) + deg v - 2|N(v) & S|, so
+no cut table is filled: c = cut(S+v) for cutwidth and c = cut(S+v) +
+|N(v) & S| for path congestion.  S + v keeps the least candidate that is
+at most k.  By induction on |S| a pass holds exactly the S with t[S] <= k,
+each with its exact t[S]: an optimal last v of S leaves S - v with t[S-v]
+<= t[S].  k starts at a lower bound on opt: for path congestion the max
+degree, as pcon >= deg v at v's position; for cutwidth ceil(max degree /
+2), as the edges of v cross the gap before v or the gap after it, so one
+of the two carries at least half of them.  A pass that misses the full
+set has proved opt > k, and every optimal ordering then first goes above
+k with a candidate that pass met, so the next pass runs at the least
+candidate above k it met; the first pass that reaches the full set runs
+at k = opt.  ``kernels.backtrack`` reads the result unchanged and gives
+the same ordering as from the full table: it only accepts t[S-v] <= t[S]
+<= opt (with no cost for cutwidth, as cut(S) <= t[S]), so it passes over
+a missing S - v exactly as over the full table's entry above opt, and
+every entry it does accept is the same.
 """
 
 from __future__ import annotations
@@ -250,11 +254,13 @@ class _Threshold(dict):
         return _BIG
 
 
-def path_congestion_search(masks):
+def _threshold_search(masks, drop, k):
+    """The entries t[S] <= opt of the ordering table whose candidate for
+    S + v is max(t[S], cut(S) + deg v - drop * |N(v) & S|), searched from
+    the threshold k <= opt up."""
     n = len(masks)
     full = (1 << n) - 1
     verts = [(1 << v, m, m.bit_count()) for v, m in enumerate(masks)]
-    k = max((d for _, _, d in verts), default=0)
     while True:
         layers = [{0: 0}]  # t[S] for each S of each size, while the pass holds
         t_of = layers[0]
@@ -270,7 +276,7 @@ def path_congestion_search(masks):
                     if s & low:
                         continue
                     inside = (m & s).bit_count()
-                    cand = cut + d - inside  # cut(S+v) + |N(v) & S|
+                    cand = cut + d - drop * inside
                     if cand > k:
                         if cand < over:
                             over = cand
@@ -289,3 +295,18 @@ def path_congestion_search(masks):
                 table.update(layer)
             return table
         k = over
+
+
+def _max_degree(masks) -> int:
+    return max((m.bit_count() for m in masks), default=0)
+
+
+def cutwidth_search(masks):
+    # the candidate is cut(S+v); v's edges cross the gap before v or the one
+    # after it, so cw >= ceil(max degree / 2)
+    return _threshold_search(masks, 2, (_max_degree(masks) + 1) // 2)
+
+
+def path_congestion_search(masks):
+    # the candidate is cut(S+v) + |N(v) & S|; pcon >= deg v at v's position
+    return _threshold_search(masks, 1, _max_degree(masks))

@@ -32,7 +32,7 @@ from linewidth.decompositions import (
     TreeDecomposition,
     ValidationReport,
 )
-from linewidth.graphs import DomainError, Graph
+from linewidth.graphs import DomainError, Graph, _adjacency_masks
 from linewidth.optcheck import HALF, CornerCheck, _axis
 from linewidth.treeops import tree_path
 
@@ -588,6 +588,25 @@ def grid_minimize(objective, s, resolution, threshold, corner_claims):
     if best_val is None:
         raise DomainError("no feasible grid points for these parameters")
     return best_val, best_pt, corners, feasible
+
+
+def minimal_dense_vertex_set(g: Graph) -> tuple[int, ...]:
+    """The earlier densest-set scan, over all 2^n - 1 subsets of g in
+    increasing bitmask order: the first subset of greatest density with the
+    fewest vertices."""
+    masks = _adjacency_masks(g, g.vertices)
+    inner = [0] * (1 << g.n)
+    best_s, best_m, best_k = 1, 0, 1
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        m = inner[s] = inner[rest] + (masks[v] & rest).bit_count()
+        k = s.bit_count()
+        diff = m * best_k - best_m * k
+        if diff > 0 or (diff == 0 and k < best_k):
+            best_s, best_m, best_k = s, m, k
+    return tuple(v + 1 for v in range(g.n) if best_s >> v & 1)
 
 
 def cycle_power(n: int, k: int) -> Graph:

@@ -2,13 +2,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import graphs
 from linewidth.graphs import (
     DomainError,
     Graph,
     SolverLimitError,
+    _dense_core,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -126,7 +129,7 @@ def test_minimal_dense_subgraph_is_minimal(g):
 
 def test_minimality_exhaustive_at_ten_vertices():
     # K_5 with a pendant path of five vertices: the clique is the unique
-    # densest part, and the 10-vertex input exercises the full subset sweep
+    # densest part, and the path lies outside the 3-core the scan runs over
     edges = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     edges += [(i, i + 1) for i in range(5, 10)]
     g = Graph(10, edges)
@@ -144,6 +147,50 @@ def test_minimality_exhaustive_at_ten_vertices():
     ring = cycle_graph(10)
     assert minimal_dense_subgraph(ring) == ring
     _assert_minimal(ring)
+
+
+def _disjoint_copies(g: Graph) -> Graph:
+    return Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+
+
+@given(graphs(min_vertices=1, max_vertices=10))
+@example(Graph(1))
+@example(Graph(2, [(1, 2)]))
+@example(cycle_graph(5))
+@example(complete_bipartite_graph(2, 5))
+def test_minimal_dense_vertex_set_equals_the_full_scan(g):
+    # g, and g with an isolated vertex below and one above all its own
+    for h in (g, Graph(g.n + 2, [(u + 1, v + 1) for u, v in g.edges])):
+        assert minimal_dense_vertex_set(h) == oracles.minimal_dense_vertex_set(h)
+
+
+@given(graphs(min_vertices=1, max_vertices=7))
+@example(Graph(3, [(1, 2)]))
+@example(cycle_graph(4))
+@example(complete_graph(4))
+def test_minimal_dense_vertex_set_breaks_ties_between_copies_as_the_full_scan(g):
+    """Two disjoint copies tie in density with each other and with their
+    union, so only the tie-break picks the set."""
+    twice = _disjoint_copies(g)
+    assert minimal_dense_vertex_set(twice) == oracles.minimal_dense_vertex_set(twice)
+
+
+@given(st.integers(1, 12))
+def test_minimal_dense_vertex_set_of_an_edgeless_graph_is_vertex_one(n):
+    assert minimal_dense_vertex_set(Graph(n)) == (1,) == oracles.minimal_dense_vertex_set(Graph(n))
+
+
+def test_core_of_a_clique_with_pendant_paths_and_a_cycle_is_the_clique():
+    """K_5 on 3, 5, 6, 8, 9 with the path 1-2-3, the cycle 9-10-11-12 and
+    the pendants 4 and 7 hung on it: peeling meets e(S) // |S| = 2 at the
+    clique, which is the 3-core, strictly inside the 2-core and V and not a
+    prefix of either."""
+    clique = (3, 5, 6, 8, 9)
+    edges = list(combinations(clique, 2))
+    edges += [(1, 2), (2, 3), (9, 10), (10, 11), (11, 12), (12, 9), (4, 5), (7, 8)]
+    g = Graph(12, edges)
+    assert _dense_core(g) == list(clique)
+    assert minimal_dense_vertex_set(g) == clique == oracles.minimal_dense_vertex_set(g)
 
 
 @given(graphs(min_vertices=2, max_vertices=6, min_edges=1))

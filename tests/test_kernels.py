@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -158,85 +159,176 @@ def test_fills_and_orderings_equal_per_pair_oracles(compiled_core, g):
         assert min_path_congestion(g).ordering.order == tuple(active[v] for v in order)
 
 
-def _assert_search_is_the_table_up_to_pcon(masks):
-    table = _pure.path_congestion_table(masks)
-    pcon = table[-1]
-    found = _pure.path_congestion_search(masks)
-    assert set(found) == {s for s, t in enumerate(table) if t <= pcon}
+# each threshold search, keyed by the table it restricts
+SEARCHES = {
+    "cutwidth_table": "cutwidth_search",
+    "path_congestion_table": "path_congestion_search",
+}
+
+
+def _assert_search_is_the_table_up_to_the_optimum(kernel, masks):
+    table = getattr(_pure, kernel)(masks)
+    opt = table[-1]
+    found = getattr(_pure, SEARCHES[kernel])(masks)
+    assert set(found) == {s for s, t in enumerate(table) if t <= opt}
     assert all(found[s] == table[s] for s in found)
-    missing = next((s for s, t in enumerate(table) if t > pcon), None)
+    missing = next((s for s, t in enumerate(table) if t > opt), None)
     if missing is not None:
         assert found[missing] == _pure._BIG
 
 
-@given(graphs(min_vertices=0, max_vertices=9))
-@example(Graph(0))
-@example(Graph(1))
-@example(complete_graph(9))
-@example(TOP_JOINS_COMPONENTS[1])
-def test_search_holds_the_table_up_to_pcon(g):
-    _assert_search_is_the_table_up_to_pcon(_adjacency_masks(g, g.vertices))
+@pytest.mark.parametrize("kernel", SEARCHES)
+@given(g=graphs(min_vertices=0, max_vertices=9))
+@example(g=Graph(0))
+@example(g=Graph(1))
+@example(g=complete_graph(9))
+@example(g=TOP_JOINS_COMPONENTS[1])
+def test_search_holds_the_table_up_to_the_optimum(kernel, g):
+    _assert_search_is_the_table_up_to_the_optimum(kernel, _adjacency_masks(g, g.vertices))
 
 
+@pytest.mark.parametrize("kernel", SEARCHES)
 @pytest.mark.parametrize("n", [11, 12, 14, 16])
 @pytest.mark.parametrize("make", [sparse_graph, dense_graph])
-def test_search_holds_the_table_up_to_pcon_on_larger_graphs(make, n):
-    """Its keys are exactly the subsets with t[S] <= pcon, so a threshold
-    that overshoots pcon fails here, though its value and ordering agree."""
+def test_search_holds_the_table_up_to_the_optimum_on_larger_graphs(kernel, make, n):
+    """Its keys are exactly the subsets with t[S] <= opt, so a threshold
+    that overshoots opt fails here, though its value and ordering agree."""
     for seed in range(2 if n < 16 else 1):
         g = make(n, 100 * n + seed)
-        _assert_search_is_the_table_up_to_pcon(_adjacency_masks(g, g.vertices))
+        _assert_search_is_the_table_up_to_the_optimum(kernel, _adjacency_masks(g, g.vertices))
 
 
-def _table_order(g):
-    """min_path_congestion's value and ordering, read from the full pure
-    table with the path congestion cost."""
+def test_cutwidth_search_starts_at_half_the_max_degree():
+    """A star K_{1,4} has cutwidth 2 = ceil(4 / 2), and its search holds
+    every subset with cut(S) <= 2 along an optimal ordering."""
+    masks = _adjacency_masks(Graph(5, [(1, v) for v in range(2, 6)]), range(1, 6))
+    found = _pure.cutwidth_search(masks)
+    assert found[0b11111] == 2
+    assert set(found) == {s for s, t in enumerate(_pure.cutwidth_table(masks)) if t <= 2}
+
+
+# each searched solver, its table, and its backtrack cost built from the
+# masks, None where that cost never exceeds t[S]
+SEARCHED_SOLVERS = {
+    "cutwidth": (cutwidth, "cutwidth_table", None),
+    "path congestion": (
+        min_path_congestion,
+        "path_congestion_table",
+        lambda masks: lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count(),
+    ),
+}
+
+
+def _table_order(name, g):
+    """The solver's value and ordering, read from the full pure table."""
+    _, kernel, cost = SEARCHED_SOLVERS[name]
     active = g.non_isolated_vertices()
     masks = _adjacency_masks(g, active)
-    table = _pure.path_congestion_table(masks)
-    cost = lambda s, v: _pure.cross_size(masks, s) + (masks[v] & s).bit_count()
-    return table[-1], tuple(active[v] for v in kernels.backtrack(table, len(masks), cost))
+    table = getattr(_pure, kernel)(masks)
+    order = kernels.backtrack(table, len(masks), cost and cost(masks))
+    return table[-1], tuple(active[v] for v in order)
 
 
-@pytest.mark.parametrize("n", [10, 11, 12, 13, 15])
+def _searched_by_the_rule(g) -> bool:
+    """The dispatch rule stated again: at least SEARCH_MIN_VERTICES placed
+    vertices with at most SEARCH_MAX_DENSITY percent of their pairs joined."""
+    n = len(g.non_isolated_vertices())
+    if n < kernels.SEARCH_MIN_VERTICES:
+        return False
+    return Fraction(g.edge_count, n * (n - 1) // 2) <= Fraction(kernels.SEARCH_MAX_DENSITY, 100)
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Searches per kernel, counted by wrappers set on linewidth.kernels."""
+    counts = Counter()
+    for name in SEARCHES.values():
+        real = getattr(kernels, name)
+
+        def counted(masks, real=real, name=name):
+            counts[name] += 1
+            return real(masks)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", SEARCHED_SOLVERS)
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 14, 15])
 @pytest.mark.parametrize("make", [sparse_graph, dense_graph])
-def test_min_path_congestion_reads_the_table_ordering_either_side_of_the_crossover(
-    monkeypatch, make, n
+def test_solver_reads_the_table_ordering_either_side_of_the_crossover(
+    monkeypatch, searched, name, make, n
 ):
     monkeypatch.setattr(kernels, "BACKEND", "pure-python")
-    searched = Counter()
-    real = kernels.path_congestion_search
-
-    def counted(masks):
-        searched[len(masks)] += 1
-        return real(masks)
-
-    monkeypatch.setattr(kernels, "path_congestion_search", counted)
+    solver, kernel, _ = SEARCHED_SOLVERS[name]
     for seed in range(3):
         g = make(n, 1000 * n + seed)
         searched.clear()
-        cert = min_path_congestion(g)
-        assert (cert.value, cert.ordering.order) == _table_order(g)
-        active = len(g.non_isolated_vertices())
-        assert searched == ({active: 1} if active >= kernels.PATH_SEARCH_MIN_VERTICES else {})
+        cert = solver(g)
+        assert (cert.value, cert.ordering.order) == _table_order(name, g)
+        assert searched == ({SEARCHES[kernel]: 1} if _searched_by_the_rule(g) else {})
 
 
-def test_compiled_backend_fills_the_whole_table(monkeypatch, fills):
-    monkeypatch.setattr(kernels, "BACKEND", "compiled")
-    monkeypatch.setattr(kernels, "path_congestion_search", None)  # a search would fail
-    g = dense_graph(13, 5)
-    cert = min_path_congestion(g)
-    assert (cert.value, cert.ordering.order) == _table_order(g)
-    assert fills == {"path_congestion_table": 1}
+def test_the_dispatch_rule_reaches_both_sides():
+    """The graphs above meet the rule and miss it, each at n >= 12."""
+    sides = {
+        _searched_by_the_rule(make(n, 1000 * n + seed))
+        for make in (sparse_graph, dense_graph)
+        for n in (12, 13, 14, 15)
+        for seed in range(3)
+    }
+    assert sides == {True, False}
 
 
-def test_a_repeat_path_congestion_solve_runs_no_search(monkeypatch):
-    g = sparse_graph(14, 7)
-    assert len(g.non_isolated_vertices()) >= kernels.PATH_SEARCH_MIN_VERTICES
+def test_the_density_limit_is_inclusive(monkeypatch, fills, searched):
+    """On 16 vertices 72 of the 120 pairs are exactly 60%: that graph is
+    searched, and one more edge fills."""
     monkeypatch.setattr(kernels, "BACKEND", "pure-python")
-    first = min_path_congestion(g)
-    monkeypatch.setattr(kernels, "path_congestion_search", None)  # a second search would fail
-    again = min_path_congestion(g)
+    pairs = list(combinations(range(1, 17), 2))
+    at_limit = Graph(16, pairs[:72])
+    assert len(at_limit.non_isolated_vertices()) == 16
+    cutwidth(at_limit)
+    assert (searched, fills) == ({"cutwidth_search": 1}, {})
+    searched.clear()
+    cutwidth(Graph(16, pairs[:73]))
+    assert (searched, fills) == ({}, {"cutwidth_table": 1})
+
+
+@pytest.mark.parametrize("name", SEARCHED_SOLVERS)
+def test_a_dense_graph_fills_the_whole_table(monkeypatch, fills, name):
+    monkeypatch.setattr(kernels, "BACKEND", "pure-python")
+    for search in SEARCHES.values():
+        monkeypatch.setattr(kernels, search, None)  # a search would fail
+    solver, kernel, _ = SEARCHED_SOLVERS[name]
+    g = complete_graph(13)
+    cert = solver(g)
+    assert (cert.value, cert.ordering.order) == _table_order(name, g)
+    assert fills == {kernel: 1}
+
+
+@pytest.mark.parametrize("name", SEARCHED_SOLVERS)
+def test_compiled_backend_fills_the_whole_table(monkeypatch, fills, name):
+    monkeypatch.setattr(kernels, "BACKEND", "compiled")
+    for search in SEARCHES.values():
+        monkeypatch.setattr(kernels, search, None)  # a search would fail
+    solver, kernel, _ = SEARCHED_SOLVERS[name]
+    g = sparse_graph(13, 5)
+    assert _searched_by_the_rule(g)
+    cert = solver(g)
+    assert (cert.value, cert.ordering.order) == _table_order(name, g)
+    assert fills == {kernel: 1}
+
+
+@pytest.mark.parametrize("name", SEARCHED_SOLVERS)
+def test_a_repeat_solve_runs_no_search(monkeypatch, name):
+    g = sparse_graph(14, 7)
+    assert _searched_by_the_rule(g)
+    monkeypatch.setattr(kernels, "BACKEND", "pure-python")
+    solver = SEARCHED_SOLVERS[name][0]
+    first = solver(g)
+    for search in SEARCHES.values():
+        monkeypatch.setattr(kernels, search, None)  # a second search would fail
+    again = solver(g)
     assert (again.value, again.ordering) == (first.value, first.ordering)
 
 
@@ -376,7 +468,7 @@ def test_solvers_refuse_before_masks_or_fills(monkeypatch, solver, limit, name):
     def fail(*args):
         raise AssertionError("reached past the limit check")
 
-    for attr in KERNELS + ("path_congestion_search", "_adjacency_masks"):
+    for attr in KERNELS + tuple(SEARCHES.values()) + ("_adjacency_masks",):
         monkeypatch.setattr(kernels, attr, fail)
     with pytest.raises(SolverLimitError, match=f"^{name} solver: instance size {limit + 1} "):
         solver(path_graph(limit + 1))

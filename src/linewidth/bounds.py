@@ -25,7 +25,6 @@ from linewidth.decompositions import (
     SUBJECT_LINE,
     TreeDecomposition,
     _require_valid,
-    edge_path_bags,
     expand_to_line,
     limit_tree_degree,
     occurrences,
@@ -44,7 +43,7 @@ from linewidth.graphs import (
     line_graph,
     minimal_dense_vertex_set,
 )
-from linewidth.treeops import root_tree, sorted_edges, tree_path
+from linewidth.treeops import edge_path_bags, root_tree, sorted_edges, tree_path
 
 TARGET_TW = "tw(L)"
 TARGET_PW = "pw(L)"

@@ -28,7 +28,7 @@ from linewidth.graphs import (
     read_text,
     records,
 )
-from linewidth.treeops import adjacency, check_tree, root_tree, tree_path
+from linewidth.treeops import adjacency, check_tree, edge_path_bags, root_tree, tree_path
 
 TREE_CONGESTION_LIMIT = 10
 PATH_SOLVER_LIMIT = 20
@@ -133,15 +133,21 @@ class CongestionCertificate:
         raise DomainError(f"unknown certificate kind {self.kind!r}")
 
 
-def vertex_congestion(e: LeafEmbedding, g: Graph) -> tuple[int, dict[int, int]]:
-    """Maximum number of routed edge paths through a tree node, with the
-    full per-node profile.  Path endpoints count."""
+def embedding_bags(e: LeafEmbedding, g: Graph) -> dict[int, set[int]]:
+    """Check e against g and route every edge of g along the tree: the bag
+    of a node is the set of ids of the edges whose path crosses it."""
     e.check(g)
     parent = root_tree(e.adjacency(), e.nodes[0])[0] if e.nodes else {}
-    profile = {n: 0 for n in e.nodes}
-    for u, v in g.edges:
-        for node in tree_path(parent, e.assignment[u], e.assignment[v]):
-            profile[node] += 1
+    return edge_path_bags(parent, e.assignment, g)
+
+
+def vertex_congestion(e: LeafEmbedding, g: Graph) -> tuple[int, dict[int, int]]:
+    """Maximum number of routed edge paths through a tree node, with the
+    per-node profile in node order.  Path endpoints count.  A node's load is
+    its bag size in the decomposition of L(g) read off e, whose width is
+    therefore the congestion minus one."""
+    bags = embedding_bags(e, g)
+    profile = {n: len(bags[n]) for n in e.nodes}
     return (max(profile.values(), default=0), profile)
 
 

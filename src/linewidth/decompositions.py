@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from linewidth.congestion import LeafEmbedding
+from linewidth.congestion import LeafEmbedding, embedding_bags
 from linewidth.graphs import (
     DomainError,
     FormatError,
@@ -32,7 +32,7 @@ from linewidth.graphs import (
     read_text,
     records,
 )
-from linewidth.treeops import adjacency, check_tree, root_tree, sorted_edges, tree_path
+from linewidth.treeops import adjacency, check_tree, edge_path_bags, root_tree, sorted_edges
 
 SUBJECT_GRAPH = "of-G"
 SUBJECT_LINE = "of-L(G)"
@@ -224,16 +224,6 @@ class LeafBaseForm:
     base: BaseNodeAssignment
 
 
-def edge_path_bags(parent, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
-    """Bag of every node of the tree given by a parent map: the ids of the
-    edges uv of g whose path from base[u] to base[v] crosses the node."""
-    bags: dict[int, set[int]] = {n: set() for n in parent}
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        for node in tree_path(parent, base[u], base[v]):
-            bags[node].add(eid)
-    return bags
-
-
 def _halve_wide_nodes(parent, children, root: int, next_id: int) -> dict[int, int]:
     """Give every node at most two children: a node with more gets two fresh
     children (ids from next_id up) that take over the first and second half
@@ -341,37 +331,13 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     return LeafBaseForm(dec, BaseNodeAssignment(dict(sorted(base.items()))))
 
 
-def is_leaf_base_form(td: TreeDecomposition, base: BaseNodeAssignment, g: Graph) -> bool:
-    """Whether (td, base) is the decomposition read off a leaf embedding of
-    g whose tree is a single edge or a binary tree with one degree-2 root,
-    and whose every leaf hosts a vertex."""
-    emb = LeafEmbedding(td.nodes, td.tree_edges, base.by_vertex)
-    try:
-        dec, _ = decomposition_from_embedding(emb, g)
-    except DomainError:
-        return False
-    # the check made the hosts distinct leaves, so every leaf hosts a vertex
-    # exactly when there are as many leaves as hosts
-    degrees = [len(s) for s in emb.adjacency().values()]
-    return (
-        (len(degrees) == 2 or degrees.count(2) == 1)
-        and degrees.count(1) == len(base.by_vertex)
-        and dec.bags == td.bags
-    )
-
-
-def decomposition_from_embedding(
-    e: LeafEmbedding, g: Graph
-) -> tuple[TreeDecomposition, BaseNodeAssignment]:
+def decomposition_from_embedding(e: LeafEmbedding, g: Graph) -> TreeDecomposition:
     """Read a leaf embedding as a decomposition of L(g): the bag at node u
-    is the set of edges routed through u.  Its width is always the vertex
-    congestion of the embedding minus one."""
-    e.check(g)
+    is the set of edges routed through u, so its size is the load of u and
+    the width is the vertex congestion of the embedding minus one."""
+    bags = embedding_bags(e, g)
     adj = e.adjacency()
-    parent = root_tree(adj, e.nodes[0])[0] if e.nodes else {}
-    bags = edge_path_bags(parent, e.assignment, g)
-    dec = TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
-    return dec, BaseNodeAssignment(dict(sorted(e.assignment.items())))
+    return TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
 
 
 def line_to_graph_decomposition(d, g: Graph) -> TreeDecomposition:

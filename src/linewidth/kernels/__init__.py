@@ -45,7 +45,7 @@ compiled fill beats the pure search by 4-8x at n = 12-20.
 
 from functools import lru_cache
 
-from linewidth.graphs import Graph, SolverLimitError, _adjacency_masks
+from linewidth.graphs import DomainError, Graph, SolverLimitError, _adjacency_masks
 from linewidth.kernels import _pure
 
 try:  # compiled extension is optional
@@ -82,7 +82,10 @@ _SEARCHES = {
 def check_limit(what: str, size: int, max_vertices: int) -> None:
     """Raise SolverLimitError when size exceeds max_vertices or
     MAX_KERNEL_VERTICES, whichever is smaller, so that no solver limit lets
-    an instance reach the kernels' own ValueError."""
+    an instance reach the kernels' own ValueError.  A negative max_vertices
+    is refused first, as a DomainError naming the limit."""
+    if max_vertices < 0:
+        raise DomainError(f"{what}: the limit must be at least 0, got {max_vertices}")
     limit = min(max_vertices, MAX_KERNEL_VERTICES)
     if size > limit:
         raise SolverLimitError(what, size, limit)

@@ -57,8 +57,8 @@ overwrite it in place.  ``_core`` mirrors these kernels bit for bit.
 twin.  Each returns its kernel's table restricted to the subsets that can
 lie on an optimal ordering, those with t[S] <= opt (the cutwidth or
 pcon), as a dict that reads ``_BIG`` for any other subset.  They share one
-loop, layer by layer in |S| under a threshold k, keeping t[S] for every
-layer and cut(S) for the current one.  Each v outside S offers S + v the
+loop, layer by layer in |S| under a threshold k; a pass keeps t[S] in
+one table and cut(S) for one layer.  Each v outside S offers S + v the
 candidate max(t[S], c), with cut(S+v) = cut(S) + deg v - 2|N(v) & S|, so
 no cut table is filled: c = cut(S+v) for cutwidth and c = cut(S+v) +
 |N(v) & S| for path congestion.  S + v keeps the least candidate that is
@@ -258,20 +258,17 @@ def _threshold_search(masks, drop, k):
     """The entries t[S] <= opt of the ordering table whose candidate for
     S + v is max(t[S], cut(S) + deg v - drop * |N(v) & S|), searched from
     the threshold k <= opt up."""
-    n = len(masks)
-    full = (1 << n) - 1
+    full = (1 << len(masks)) - 1
     verts = [(1 << v, m, m.bit_count()) for v, m in enumerate(masks)]
     while True:
-        layers = [{0: 0}]  # t[S] for each S of each size, while the pass holds
-        t_of = layers[0]
-        cut_of = {0: 0}
+        table = _Threshold({0: 0})  # t[S] for every S the pass has reached
+        get = table.get
+        cut_of = {0: 0}  # cut(S) for the S of the current size
         over = _BIG  # the least candidate above k met
-        while cut_of and len(layers) <= n:
-            nt = {}
+        while cut_of:
             nc = {}
-            get = nt.get
             for s, cut in cut_of.items():
-                t = t_of[s]
+                t = table[s]
                 for low, m, d in verts:
                     if s & low:
                         continue
@@ -285,14 +282,10 @@ def _threshold_search(masks, drop, k):
                         cand = t
                     ns = s | low
                     if cand < get(ns, _BIG):
-                        nt[ns] = cand
+                        table[ns] = cand
                         nc[ns] = cut + d - 2 * inside
-            layers.append(nt)
-            t_of, cut_of = nt, nc
-        if full in t_of:
-            table = _Threshold()
-            for layer in layers:
-                table.update(layer)
+            cut_of = nc
+        if full in table:
             return table
         k = over
 

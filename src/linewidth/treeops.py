@@ -1,17 +1,18 @@
 """The one tree router: every rooting of a tree and every path in one.
 
-Trees arrive as adjacency dicts {node: set(neighbours)}.  Edge routing, the
-computation behind vertex congestion and the edge-path bags of the leaf
-base form, only ever needs the unique path between two nodes, and that path
-is found from a parent map alone: ``root_tree`` builds the map once per tree,
-and ``tree_path`` climbs from both ends, so a path costs time linear in its
-length and needs no depth table.  Code that grows a tree one subdivision at
-a time can keep its parent map up to date in place instead of re-rooting.
+Trees arrive as adjacency dicts {node: set(neighbours)}.  ``root_tree``
+builds a parent map once per tree, and ``tree_path`` climbs from both ends,
+so a path costs time linear in its length and needs no depth table.
+``edge_path_bags`` routes every edge of a graph between the nodes hosting
+its ends; the bag of a node, the edges routed through it, is its bag in the
+line graph's decomposition read off the tree, and its size is the node's
+load.  Code that grows a tree one subdivision at a time can keep its parent
+map up to date in place instead of re-rooting.
 """
 
 from __future__ import annotations
 
-from linewidth.graphs import DomainError, reach
+from linewidth.graphs import DomainError, Graph, reach
 
 
 def adjacency(nodes, edges) -> dict[int, set[int]]:
@@ -83,6 +84,16 @@ def tree_path(parent, a: int, b: int) -> list[int]:
     path = left[: i + 1]
     path += reversed(right[:j])
     return path
+
+
+def edge_path_bags(parent, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
+    """Bag of every node of the tree given by a parent map: the ids of the
+    edges uv of g whose path from base[u] to base[v] crosses the node."""
+    bags: dict[int, set[int]] = {n: set() for n in parent}
+    for eid, (u, v) in enumerate(g.edges, start=1):
+        for node in tree_path(parent, base[u], base[v]):
+            bags[node].add(eid)
+    return bags
 
 
 def sorted_edges(adj) -> list[tuple[int, int]]:

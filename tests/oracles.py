@@ -11,7 +11,9 @@ and a tree-congestion fill that recounts every cut for each split.  The
 tree-congestion solver, the appendix grid search and the fill-in tree
 decomposition are the earlier versions too: a branch and bound from the
 path incumbent, a scan of every grid point, and a second elimination pass
-that contracts bags contained in their parent.
+that contracts bags contained in their parent.  ``is_leaf_base_form``
+checks the normal form's shape and compares its bags with those read off
+the leaf embedding it describes.
 """
 
 from collections import deque
@@ -28,9 +30,11 @@ from linewidth.congestion import (
 )
 from linewidth.decompositions import (
     SUBJECT_GRAPH,
+    BaseNodeAssignment,
     PathDecomposition,
     TreeDecomposition,
     ValidationReport,
+    decomposition_from_embedding,
 )
 from linewidth.graphs import DomainError, Graph, _adjacency_masks
 from linewidth.optcheck import HALF, CornerCheck, _axis
@@ -345,6 +349,25 @@ def subdivide_embedding(e: LeafEmbedding, edge, times: int = 1) -> LeafEmbedding
     nodes += chain[1:-1]
     edges += list(zip(chain, chain[1:]))
     return LeafEmbedding(nodes, edges, e.assignment)
+
+
+def is_leaf_base_form(td: TreeDecomposition, base: BaseNodeAssignment, g: Graph) -> bool:
+    """Whether (td, base) is the decomposition read off a leaf embedding of
+    g whose tree is a single edge or a binary tree with one degree-2 root,
+    and whose every leaf hosts a vertex."""
+    emb = LeafEmbedding(td.nodes, td.tree_edges, base.by_vertex)
+    try:
+        dec = decomposition_from_embedding(emb, g)
+    except DomainError:
+        return False
+    # the check made the hosts distinct leaves, so every leaf hosts a vertex
+    # exactly when there are as many leaves as hosts
+    degrees = [len(s) for s in emb.adjacency().values()]
+    return (
+        (len(degrees) == 2 or degrees.count(2) == 1)
+        and degrees.count(1) == len(base.by_vertex)
+        and dec.bags == td.bags
+    )
 
 
 def brute_line_edges(g: Graph) -> list[tuple[int, int]]:

@@ -249,6 +249,11 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         ),
         ({}, ["exact", "tw", "g.gr", "--limit", "0"], "limit of 0"),
         (
+            {},
+            ["exact", "tw", "g.gr", "--limit", "-1"],
+            "error: treewidth solver: the limit must be at least 0, got -1",
+        ),
+        (
             {"w.td": "s td 2 2 2\nb 1 1 2\nb 2 1 2\n1 2\n1 2\n"},
             ["validate", "w.td"],
             "tree edge (1,2) is repeated",
@@ -321,10 +326,20 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
             "--line applies to a .td witness, not a .emb",
         ),
         ({"w.ord": "s ord 2\n1 2\n"}, ["validate", "w.ord", "--line"], "not a .ord"),
+        (
+            {"w.td": "s td 2 1 4\nb 1 1\nb 2 2\n1 5\n"},
+            ["validate", "w.td"],
+            "error: tree edge (1,5) references an unknown node",
+        ),
+        (
+            {"w.td": "s td 2 1 4\nb 1 1\nb 2 2\n1 1\n"},
+            ["validate", "w.td"],
+            "error: tree edge (1,1) is a loop",
+        ),
     ],
     ids=[
         "td-token", "emb-token", "ord-token", "td-bag-no-id", "gr-non-ascii",
-        "limit-30", "con-limit-30", "limit-0",
+        "limit-30", "con-limit-30", "limit-0", "limit-negative",
         "td-repeated-edge", "emb-repeated-edge", "emb-late-header", "ord-late-header",
         "td-repeated-element", "td-header-n", "line-td-header-n", "emb-header-n",
         "normalize-header-n", "transform-header-n", "expand-header-n", "improved-header-n",
@@ -333,7 +348,7 @@ LINE_TD_2 = "s td 1 1 2\nb 1 1\n"
         "resolution-a-limit", "resolution-b-limit", "resolution-c-fast-limit",
         "resolution-c-full-limit", "gen-edge-limit", "random-negative",
         "max-n-0", "max-n-negative", "sharp-params-no-family",
-        "td-not-connected", "line-emb", "line-ord",
+        "td-not-connected", "line-emb", "line-ord", "td-edge-unknown-node", "td-edge-loop",
     ],
 )
 def test_bad_input_ends_with_error_line(tmp_path, files, argv, message):

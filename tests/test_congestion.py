@@ -259,6 +259,36 @@ def test_subdividing_tree_edges_never_helps(g):
             assert vertex_congestion(spliced, g)[0] == cert.value
 
 
+def _loads_by_search(e, g):
+    """Per-node count of the edges of g whose tree path, found by
+    breadth-first search over e's tree, passes the node."""
+    adj = {n: set() for n in e.nodes}
+    for a, b in e.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    loads = dict.fromkeys(e.nodes, 0)
+    for u, v in g.edges:
+        for node in oracles.bfs_tree_path(adj, e.assignment[u], e.assignment[v]):
+            loads[node] += 1
+    return loads
+
+
+@given(graphs(min_vertices=2, max_vertices=6, min_edges=1))
+def test_node_loads_match_paths_found_by_search(g):
+    # every binary tree, not only optimal ones, and each once more with
+    # every edge subdivided, so that degree-2 nodes carry loads too
+    for edges, assignment in oracles.binary_leaf_trees(g.non_isolated_vertices()):
+        emb = spliced = LeafEmbedding({n for e in edges for n in e}, edges, assignment)
+        for edge in emb.edges:
+            spliced = subdivide_embedding(spliced, edge)
+        for e in (emb, spliced):
+            value, profile = vertex_congestion(e, g)
+            loads = _loads_by_search(e, g)
+            assert list(profile) == list(e.nodes)
+            assert profile == loads
+            assert value == max(loads.values())
+
+
 def _partial_position_load(prefix, g):
     pos = {v: i for i, v in enumerate(prefix, start=1)}
     counts = [0] * (len(prefix) + 1)

@@ -22,7 +22,6 @@ from linewidth.decompositions import (
     decomposition_from_embedding,
     expand_to_line,
     format_td,
-    is_leaf_base_form,
     limit_tree_degree,
     line_to_graph_decomposition,
     normalize_line_decomposition,
@@ -42,7 +41,7 @@ from linewidth.graphs import (
     star_graph,
 )
 from linewidth.treeops import adjacency
-from oracles import brute_line_edges, validate_via_line_graph
+from oracles import brute_line_edges, is_leaf_base_form, validate_via_line_graph
 
 
 def test_validate_single_bag_over_triangle():
@@ -274,7 +273,8 @@ def test_normalize_is_width_safe_and_monotone(g):
 def _form_from_tree(g, edges, base):
     """The decomposition read off the leaf embedding (edges, base) of g."""
     nodes = sorted({x for e in edges for x in e})
-    return decomposition_from_embedding(LeafEmbedding(nodes, edges, base), g)
+    dec = decomposition_from_embedding(LeafEmbedding(nodes, edges, base), g)
+    return dec, BaseNodeAssignment(dict(sorted(base.items())))
 
 
 # P4 on leaves 1..4 under internal nodes 6 and 7, with the root 5 between
@@ -366,16 +366,15 @@ def test_line_to_graph_always_valid(g):
 def test_decomposition_from_embedding_star_tree():
     g = complete_graph(3)
     e = LeafEmbedding((1, 2, 3, 4), [(1, 4), (2, 4), (3, 4)], {1: 1, 2: 2, 3: 3})
-    dec, base = decomposition_from_embedding(e, g)
+    dec = decomposition_from_embedding(e, g)
     assert validate(dec, g).ok
     assert width(dec) == 2
-    assert base.by_vertex == {1: 1, 2: 2, 3: 3}
 
 
 def test_decomposition_from_embedding_single_edge():
     g = complete_graph(2)
     e = LeafEmbedding((1, 2), [(1, 2)], {1: 1, 2: 2})
-    dec, _ = decomposition_from_embedding(e, g)
+    dec = decomposition_from_embedding(e, g)
     assert width(dec) == 0
 
 
@@ -390,7 +389,7 @@ def test_decomposition_from_embedding_c4_caterpillar():
         {1: 1, 2: 2, 3: 3, 4: 4},
     )
     value, _ = vertex_congestion(e, g)
-    dec, _ = decomposition_from_embedding(e, g)
+    dec = decomposition_from_embedding(e, g)
     assert validate(dec, g).ok
     assert value == 3
     assert width(dec) == value - 1 == 2
@@ -399,7 +398,7 @@ def test_decomposition_from_embedding_c4_caterpillar():
 @given(graphs(min_vertices=2, max_vertices=6, min_edges=1))
 def test_embedding_width_is_congestion_minus_one(g):
     cert = min_tree_congestion(g)
-    dec, _ = decomposition_from_embedding(cert.embedding, g)
+    dec = decomposition_from_embedding(cert.embedding, g)
     assert validate(dec, g).ok
     assert width(dec) + 1 == vertex_congestion(cert.embedding, g)[0] == cert.value
 
@@ -491,7 +490,7 @@ def test_pipeline_bytes_are_pinned():
         for d in (
             retag_line(exact_treewidth(lg).decomposition),
             PathDecomposition(path.bags, SUBJECT_LINE),
-            decomposition_from_embedding(min_tree_congestion(g).embedding, g)[0],
+            decomposition_from_embedding(min_tree_congestion(g).embedding, g),
         ):
             digest.update(_pipeline_text(g, d).encode("ascii"))
     assert digest.hexdigest() == PIPELINE_SHA256
@@ -502,7 +501,7 @@ def test_line_to_graph_patches_the_child_side_of_the_triangle():
     # common bag, and the tree edge between their bags has vertex 3's side
     # as the parent, so 3 is added to the child bag that holds 1
     g = complete_graph(3)
-    d = decomposition_from_embedding(min_tree_congestion(g).embedding, g)[0]
+    d = decomposition_from_embedding(min_tree_congestion(g).embedding, g)
     out = line_to_graph_decomposition(d, g)
     assert validate(out, g).ok
     assert width(out) <= width(d) + 1

@@ -19,7 +19,14 @@ from linewidth.congestion import (
     min_tree_congestion,
 )
 from linewidth.exact import SOLVER_LIMIT, exact_pathwidth, exact_treewidth
-from linewidth.graphs import Graph, SolverLimitError, _adjacency_masks, complete_graph, path_graph
+from linewidth.graphs import (
+    DomainError,
+    Graph,
+    SolverLimitError,
+    _adjacency_masks,
+    complete_graph,
+    path_graph,
+)
 from linewidth.kernels import _pure
 
 KERNELS = (
@@ -472,3 +479,11 @@ def test_solvers_refuse_before_masks_or_fills(monkeypatch, solver, limit, name):
         monkeypatch.setattr(kernels, attr, fail)
     with pytest.raises(SolverLimitError, match=f"^{name} solver: instance size {limit + 1} "):
         solver(path_graph(limit + 1))
+
+
+def test_a_negative_limit_is_refused_by_name():
+    # even the empty instance, which no limit of 0 or more refuses
+    with pytest.raises(DomainError) as info:
+        cutwidth(Graph(0), max_vertices=-1)
+    assert str(info.value) == "cutwidth solver: the limit must be at least 0, got -1"
+    assert not isinstance(info.value, SolverLimitError)

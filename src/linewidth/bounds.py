@@ -200,7 +200,7 @@ def improved_upper_construction(g: Graph, d) -> ImprovedConstruction:
         adj[prev].add(par)
         adj[par].add(prev)
         parent[prev] = par
-    bags = edge_path_bags(parent, base, g)
+    bags = edge_path_bags(adj, base, g)
     if is_path:
         # subdivisions only add inner nodes, so the path still runs from
         # node 1 to the last node of d

@@ -28,7 +28,7 @@ from linewidth.graphs import (
     read_text,
     records,
 )
-from linewidth.treeops import adjacency, check_tree, edge_path_bags, root_tree, tree_path
+from linewidth.treeops import adjacency, check_tree, edge_path_bags, tree_path
 
 TREE_CONGESTION_LIMIT = 10
 PATH_SOLVER_LIMIT = 20
@@ -52,8 +52,9 @@ class LeafEmbedding:
     def adjacency(self) -> dict[int, set[int]]:
         return adjacency(self.nodes, self.edges)
 
-    def check(self, g: Graph) -> None:
-        """Raise DomainError unless this is a valid embedding for g."""
+    def check(self, g: Graph) -> dict[int, set[int]]:
+        """Raise DomainError unless this is a valid embedding for g; return
+        the tree's adjacency, as adjacency() builds it."""
         adj = self.adjacency()
         check_tree(adj)
         for n, nb in adj.items():
@@ -70,6 +71,7 @@ class LeafEmbedding:
                 raise DomainError(f"vertex {v} assigned to unknown node {node}")
             if len(adj[node]) > 1:
                 raise DomainError(f"vertex {v} assigned to non-leaf node {node}")
+        return adj
 
     def __eq__(self, other):
         if not isinstance(other, LeafEmbedding):
@@ -133,20 +135,12 @@ class CongestionCertificate:
         raise DomainError(f"unknown certificate kind {self.kind!r}")
 
 
-def embedding_bags(e: LeafEmbedding, g: Graph) -> dict[int, set[int]]:
-    """Check e against g and route every edge of g along the tree: the bag
-    of a node is the set of ids of the edges whose path crosses it."""
-    e.check(g)
-    parent = root_tree(e.adjacency(), e.nodes[0])[0] if e.nodes else {}
-    return edge_path_bags(parent, e.assignment, g)
-
-
 def vertex_congestion(e: LeafEmbedding, g: Graph) -> tuple[int, dict[int, int]]:
     """Maximum number of routed edge paths through a tree node, with the
     per-node profile in node order.  Path endpoints count.  A node's load is
     its bag size in the decomposition of L(g) read off e, whose width is
-    therefore the congestion minus one."""
-    bags = embedding_bags(e, g)
+    therefore the congestion minus one.  Raises DomainError unless e embeds g."""
+    bags = edge_path_bags(e.check(g), e.assignment, g)
     profile = {n: len(bags[n]) for n in e.nodes}
     return (max(profile.values(), default=0), profile)
 

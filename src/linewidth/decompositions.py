@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from linewidth.congestion import LeafEmbedding, embedding_bags
+from linewidth.congestion import LeafEmbedding
 from linewidth.graphs import (
     DomainError,
     FormatError,
@@ -304,7 +304,7 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
     if len(base) == 2:
         # two leaves: everything between them contracts to a single edge
         x, y = sorted(base_nodes)
-        parent, children = root_tree({x: {y}, y: {x}}, x)
+        children = {x: [y], y: []}
     else:
         root = min(n for n in adj if len(adj[n]) >= 2)
         parent, children = root_tree(adj, root)
@@ -326,7 +326,7 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
             adj[x].add(w)
             adj[w].add(x)
 
-    bags = edge_path_bags(parent, base, g)
+    bags = edge_path_bags(adj, base, g)
     dec = TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
     return LeafBaseForm(dec, BaseNodeAssignment(dict(sorted(base.items()))))
 
@@ -334,9 +334,10 @@ def normalize_line_decomposition(d, g: Graph) -> LeafBaseForm:
 def decomposition_from_embedding(e: LeafEmbedding, g: Graph) -> TreeDecomposition:
     """Read a leaf embedding as a decomposition of L(g): the bag at node u
     is the set of edges routed through u, so its size is the load of u and
-    the width is the vertex congestion of the embedding minus one."""
-    bags = embedding_bags(e, g)
-    adj = e.adjacency()
+    the width is the vertex congestion of the embedding minus one.  Raises
+    DomainError unless e embeds g; the edges keep e.adjacency()'s order."""
+    adj = e.check(g)
+    bags = edge_path_bags(adj, e.assignment, g)
     return TreeDecomposition(adj.keys(), sorted_edges(adj), bags, SUBJECT_LINE)
 
 

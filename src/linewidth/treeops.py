@@ -1,13 +1,13 @@
 """The one tree router: every rooting of a tree and every path in one.
 
 Trees arrive as adjacency dicts {node: set(neighbours)}.  ``root_tree``
-builds a parent map once per tree, and ``tree_path`` climbs from both ends,
-so a path costs time linear in its length and needs no depth table.
-``edge_path_bags`` routes every edge of a graph between the nodes hosting
-its ends; the bag of a node, the edges routed through it, is its bag in the
-line graph's decomposition read off the tree, and its size is the node's
-load.  Code that grows a tree one subdivision at a time can keep its parent
-map up to date in place instead of re-rooting.
+builds a parent map once per tree, and ``tree_path`` climbs it to find one
+path.  ``edge_path_bags`` gives every node of a tree its bag, the edges of a
+graph whose path between the nodes hosting their ends crosses the node, in
+one pass from the leaves up, without routing any edge on its own.  That bag
+is the node's bag in the line graph's decomposition read off the tree, and
+its size is the node's load.  Code that grows a tree one subdivision at a
+time can keep its parent map up to date in place instead of re-rooting.
 """
 
 from __future__ import annotations
@@ -57,42 +57,46 @@ def root_tree(adj, root: int) -> tuple[dict[int, int | None], dict[int, list[int
 
 
 def tree_path(parent, a: int, b: int) -> list[int]:
-    """Node sequence from a to b inclusive, in the tree given by a parent map.
+    """Node sequence from a to b inclusive, in the tree given by a parent
+    map: a dict, or a list indexed by node.
 
-    Both ends climb towards the root in turn until one reaches a node the
-    other has passed; that node is the lowest common ancestor.
+    It marks a's ancestors up to the root, then climbs from b to the first
+    marked node.  That suits one path; all bags come from edge_path_bags.
     """
-    left, right = [a], [b]
-    on_left, on_right = {a: 0}, {b: 0}
-    while True:
-        x, y = left[-1], right[-1]
-        if x in on_right:
-            i, j = len(left) - 1, on_right[x]
-            break
-        if y in on_left:
-            i, j = on_left[y], len(right) - 1
-            break
-        px, py = parent[x], parent[y]
-        if px is None and py is None:
+    up = [a]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    depth = {x: i for i, x in enumerate(up)}
+    down = [b]
+    while down[-1] not in depth:
+        if parent[down[-1]] is None:
             raise DomainError(f"nodes {a} and {b} are not connected")
-        if px is not None:
-            on_left[px] = len(left)
-            left.append(px)
-        if py is not None:
-            on_right[py] = len(right)
-            right.append(py)
-    path = left[: i + 1]
-    path += reversed(right[:j])
-    return path
+        down.append(parent[down[-1]])
+    return up[: depth[down.pop()] + 1] + down[::-1]
 
 
-def edge_path_bags(parent, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
-    """Bag of every node of the tree given by a parent map: the ids of the
-    edges uv of g whose path from base[u] to base[v] crosses the node."""
-    bags: dict[int, set[int]] = {n: set() for n in parent}
+def edge_path_bags(adj, base: dict[int, int], g: Graph) -> dict[int, set[int]]:
+    """Bag of every node of the tree adj: the ids of the edges uv of g whose
+    path from base[u] to base[v] crosses the node.
+
+    Rooted anywhere, a path crosses a node exactly when one of its ends is
+    hosted there or it leaves the subtree of one of the node's children.  It
+    leaves a subtree exactly when just one of its ends is hosted inside, so
+    from the leaves up, a node's leaving set is the symmetric difference of
+    its children's leaving sets and its hosted ends.
+    """
+    bags: dict[int, set[int]] = {n: set() for n in adj}
+    leaving: dict[int, set[int]] = {n: set() for n in adj}
     for eid, (u, v) in enumerate(g.edges, start=1):
-        for node in tree_path(parent, base[u], base[v]):
+        for node in (base[u], base[v]):
             bags[node].add(eid)
+            leaving[node] ^= {eid}
+    parent = root_tree(adj, next(iter(adj)))[0] if adj else {}
+    for n, p in reversed(parent.items()):
+        if p is not None:
+            out = leaving.pop(n)
+            bags[p] |= out
+            leaving[p] ^= out
     return bags
 
 

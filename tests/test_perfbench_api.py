@@ -4,7 +4,9 @@ perfbench/tracing.py wraps each (module, function) pair in TRACED,
 perfbench/workloads.py imports the functions its workloads call, and
 benchmarks/bench_kernels.py imports the private graphs._adjacency_masks and
 kernels.backends; a refactor that renames or moves one of them fails here,
-not in a benchmark run.  The files are loaded from source without running
+not in a benchmark run.  The first round of every workload also runs at the
+default seed through the benchmark's byte-identity guard, against
+perfbench/digests.json.  The files are loaded from source without running
 their main and left as they are: no bytecode is written next to them and none
 stays in sys.modules.
 """
@@ -49,3 +51,18 @@ def test_kernel_benchmark_imports_cleanly():
     pure = bench.backends()["pure-python"]
     assert all(callable(getattr(pure, name, None)) for name in bench.KERNELS)
     assert len(bench.random_masks(5, seed=1)) == 5
+
+
+def test_first_rounds_match_the_reference_digests(tmp_path, monkeypatch):
+    # the CLI processes of cli-small inherit this, so they write no bytecode
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    workloads = load(PERFBENCH / "workloads.py")
+    run = load(PERFBENCH / "run.py")
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    for name, build in workloads.WORKLOADS.items():
+        guard = run.DigestGuard(digests[name])
+        first = build(run.DEFAULT_SEED, False, tmp_path / name).rounds[0]
+        for op in first.ops:
+            out = op.run()
+            op.check(out)
+            assert guard.check(op.key, op.render(out)) is None, op.key

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import graphs
 from linewidth.graphs import DomainError
-from linewidth.treeops import adjacency, root_tree, tree_path
+from linewidth.treeops import adjacency, edge_path_bags, root_tree, tree_path
 from oracles import bfs_tree_path
 
 
@@ -41,7 +42,23 @@ def test_tree_path_matches_bfs_oracle(adj, data):
     a = data.draw(st.sampled_from(nodes))
     b = data.draw(st.sampled_from(nodes))
     parent, _ = root_tree(adj, root)
-    assert tree_path(parent, a, b) == bfs_tree_path(adj, a, b)
+    as_list = [parent.get(n) for n in range(max(adj) + 1)]
+    expected = bfs_tree_path(adj, a, b)
+    assert tree_path(parent, a, b) == expected
+    assert tree_path(as_list, a, b) == expected
+
+
+@given(trees(), graphs(max_vertices=8), st.data())
+def test_bags_hold_the_edges_whose_path_crosses_the_node(adj, g, data):
+    # any host map: several vertices on one node, inner nodes included, so
+    # both ends of an edge may share a node
+    nodes = sorted(adj)
+    base = {v: data.draw(st.sampled_from(nodes)) for v in range(1, g.n + 1)}
+    crossing = {n: set() for n in adj}
+    for eid, (u, v) in enumerate(g.edges, start=1):
+        for node in bfs_tree_path(adj, base[u], base[v]):
+            crossing[node].add(eid)
+    assert edge_path_bags(adj, base, g) == crossing
 
 
 @given(trees(), st.data())
@@ -75,6 +92,8 @@ def test_tree_path_edge_cases():
 def test_tree_path_rejects_disconnected_nodes():
     with pytest.raises(DomainError):
         tree_path({1: None, 2: None}, 1, 2)
+    with pytest.raises(DomainError):
+        tree_path([None, None, None], 1, 2)
 
 
 @pytest.mark.parametrize("edges", [[(1, 2), (1, 2)], [(1, 2), (2, 3), (2, 1)]])

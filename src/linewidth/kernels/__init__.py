@@ -34,13 +34,18 @@ Otherwise, and always on the compiled backend, it fills the whole table.
 The choice reads only n, the edge count and the backend.  The crossover,
 fill plus backtrack over search plus backtrack, medians of 10 seeded
 G(n, m) per n and density (2-CPU machine, Python 3.11): at density
-0.3-0.5 the search wins by 1.5-2.4x at n = 10-11 and 1.5-6.7x at
-n = 12-16; at 0.6 by 1.2-1.6x for cutwidth and 0.9-2.0x for path
-congestion from n = 12 on; at 0.7 the two are about even (0.8-1.2x), at
-0.8 the fill wins by 1.2-2x, and on K_n by 2.5x (path congestion) and 5x
-(cutwidth), as almost every subset lies within the optimum there.  Below
-12 vertices the fill stays, as it takes a few milliseconds there.  The
-compiled fill beats the pure search by 4-8x at n = 12-20.
+0.3-0.5 the search wins by 0.8-1.5x at n = 10-11 and 1.0-5.0x at
+n = 12-16, least for cutwidth at 0.5; at 0.6 it wins by 1.1-1.9x for path
+congestion from n = 12 on, while for cutwidth the fill wins by 1.2-1.4x at
+n = 12-15; at 0.7 the fill wins by 1.4-2x for cutwidth and runs about
+even for path congestion (0.8-1.2x), at 0.8 it wins by 1.4-2.8x, and on
+K_n by 3x (path congestion) and 6-8x (cutwidth), as almost every subset
+lies within the optimum there.  One limit serves both kernels, and a lower
+one would win at most 1.4x on cutwidth at 0.6 but lose up to 1.9x on path
+congestion, so the limits stay.  Below 12 vertices the fill stays, as it
+takes a few milliseconds there.  At density 1/3 and n = 16-20 the compiled
+fill beats the pure search by 2.7-4.4x (path congestion) and 9-19x
+(cutwidth).
 """
 
 from functools import lru_cache

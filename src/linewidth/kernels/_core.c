@@ -2,11 +2,20 @@
 ordering recurrence t[S] = min over v in S of max(t[S-v], c(S, v)) with each
 kernel's cost, and the split recurrence of tree congestion.  Vertex
 separation and cutwidth fill their bound on S and run the min loop of settle().
+The ordering fills and the N(T) and cut(S) tables run in blocks, one per
+vertex h from the lowest up, over S = top + below for top = 2^h and below
+< top, and each min loop tries t[S - top] before the bits of below.
 Treewidth reads comp[S], the component of S's lowest vertex in G[S], from a
 table it fills in the same pass from comp[S-h], h the highest vertex of S,
 and the components of G[S-h] that h joins.  Unlike _pure.py it keeps no
 N(S) table: where comp[S] = S it ORs the masks of S's vertices, so comp is
-its one 2^n buffer of uint32, as nbrs is for vertex separation.
+its one 2^n buffer of uint32, as nbrs is for vertex separation.  Two more
+differences change only how _pure.py reaches the same entries.  It builds
+N(T) for vertex separation by doubling an array, one extend per vertex,
+and lists the bounds by T before it reverses them; this file writes
+nbrs[T] and table[full - T] one by one in the same (top, below) loop.  And
+_settle skips, by a filter, every S whose t[S - top] meets bound(S), where
+settle() tests that at the head of its while loop.
 Tree congestion takes an optional cap, the path incumbent in
 min_tree_congestion, and fills min(t[S], cap), exact below the cap: a subset
 with cut(S) >= cap gets cap with no split loop, as every split costs at least
@@ -15,8 +24,9 @@ ValueError, and a cap above BIG is no bound.
 
 Each kernel takes the neighbour masks of n <= MAX_KERNEL_VERTICES vertices
 and returns an array('H') of 2^n entries, indexed by vertex subset.  The
-loops follow _pure.py line for line (treewidth's N(S) aside) and the tables
-must agree with it exactly; the test suite cross-checks the two backends.
+loops follow _pure.py line for line, but for those three differences, and
+the tables must agree with it exactly; the test suite cross-checks the two
+backends.
 Every width, congestion and cut size of a 25-vertex graph is at most its
 300 edges, so a 16-bit cell holds every entry.
 */
@@ -54,20 +64,24 @@ bit_count(u64 x)
 static void
 settle(cell *table, int n)
 {
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        int bound = table[s];
-        int best = BIG;
-        u64 rest = s;
-        /* once some t[S-v] <= bound(S), t[S] is bound(S) */
-        while (rest && best > bound) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int prev = table[s ^ low];
-            if (prev < best)
-                best = prev;
+    for (int h = 0; h < n; h++) {
+        u64 top = (u64)1 << h;
+        for (u64 below = 0; below < top; below++) {
+            u64 s = top | below;
+            int bound = table[s];
+            int best = table[below]; /* t[S - top] first */
+            u64 rest = below;
+            /* once some t[S-v] <= bound(S), t[S] is bound(S) */
+            while (rest && best > bound) {
+                u64 low = rest & -rest;
+                rest ^= low;
+                int prev = table[s ^ low];
+                if (prev < best)
+                    best = prev;
+            }
+            if (best > bound)
+                table[s] = (cell)best;
         }
-        if (best > bound)
-            table[s] = (cell)best;
     }
 }
 
@@ -84,12 +98,13 @@ fill_treewidth(const u64 *adj, int n, int cap, cell *table)
     for (int h = 0; h < n; h++) {
         u64 top = (u64)1 << h;
         u64 nb = adj[h];
-        for (u64 below = 0; below < top; below++) {
+        comp[top] = (uint32_t)top; /* S = {top} is connected and costs |N(top)| = deg h */
+        table[top] = (cell)bit_count(nb);
+        for (u64 below = 1; below < top; below++) {
             u64 s = top | below;
             u64 c = comp[below];
             u64 touch = nb & below;
-            /* S is {top}, or top joins the lowest vertex's component */
-            if (!below || (touch & c)) {
+            if (touch & c) { /* top joins the lowest vertex's component */
                 u64 rest = below ^ c;
                 touch &= rest;
                 c |= top;
@@ -102,28 +117,29 @@ fill_treewidth(const u64 *adj, int n, int cap, cell *table)
                         touch &= rest;
                     }
                 }
+                if (c == s) { /* every vertex of a connected S costs reach */
+                    comp[s] = (uint32_t)s;
+                    u64 ns = 0;
+                    for (u64 left = s; left; left &= left - 1)
+                        ns |= adj[bit_index(left)];
+                    int reach = bit_count(ns & ~s);
+                    int best = table[below]; /* t[S - top] first */
+                    rest = below;
+                    while (rest && best > reach) {
+                        u64 low = rest & -rest;
+                        rest ^= low;
+                        int prev = table[s ^ low];
+                        if (prev < best)
+                            best = prev;
+                    }
+                    table[s] = (cell)(best > reach ? best : reach);
+                    continue;
+                }
             }
+            /* t[S] is the larger of t over the lowest component and the rest */
             comp[s] = (uint32_t)c;
-            if (c != s) { /* t[S] is the larger of t over the lowest component and the rest */
-                int a = table[c], b = table[s ^ c];
-                table[s] = (cell)(a > b ? a : b);
-                continue;
-            }
-            u64 ns = 0;
-            for (u64 left = s; left; left &= left - 1)
-                ns |= adj[bit_index(left)];
-            int reach = bit_count(ns & ~s);
-            int best = BIG;
-            u64 rest = s;
-            /* every vertex of a connected S costs reach */
-            while (rest && best > reach) {
-                u64 low = rest & -rest;
-                rest ^= low;
-                int prev = table[s ^ low];
-                if (prev < best)
-                    best = prev;
-            }
-            table[s] = (cell)(best > reach ? best : reach);
+            int a = table[c], b = table[s ^ c];
+            table[s] = (cell)(a > b ? a : b);
         }
     }
     PyMem_Free(comp);
@@ -141,12 +157,15 @@ fill_vertex_separation(const u64 *adj, int n, int cap, cell *table)
         return -1;
     }
     nbrs[0] = 0;
-    for (u64 t = 1; t < (u64)1 << n; t++) {
-        u64 low = t & -t;
-        u64 nb = nbrs[t ^ low] | adj[bit_index(low)];
-        nbrs[t] = (uint32_t)nb;
-        /* border(S) = |N(T) - T| for S = full - T */
-        table[full ^ t] = (cell)bit_count(nb & ~t);
+    for (int h = 0; h < n; h++) {
+        u64 top = (u64)1 << h;
+        for (u64 below = 0; below < top; below++) {
+            u64 t = top | below;
+            u64 nb = nbrs[below] | adj[h];
+            nbrs[t] = (uint32_t)nb;
+            /* border(S) = |N(T) - T| for S = full - T */
+            table[full ^ t] = (cell)bit_count(nb & ~t);
+        }
     }
     PyMem_Free(nbrs);
     settle(table, n);
@@ -157,10 +176,11 @@ fill_vertex_separation(const u64 *adj, int n, int cap, cell *table)
 static void
 fill_cut_sizes(const u64 *adj, int n, cell *table)
 {
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        u64 low = s & -s;
-        u64 nb = adj[bit_index(low)];
-        table[s] = (cell)(table[s ^ low] + bit_count(nb) - 2 * bit_count(nb & s));
+    for (int h = 0; h < n; h++) {
+        u64 top = (u64)1 << h;
+        int d = bit_count(adj[h]);
+        for (u64 below = 0; below < top; below++)
+            table[top | below] = (cell)(table[below] + d - 2 * bit_count(adj[h] & below));
     }
 }
 
@@ -176,23 +196,31 @@ static int
 fill_path_congestion(const u64 *adj, int n, int cap, cell *table)
 {
     fill_cut_sizes(adj, n, table);
-    for (u64 s = 1; s < (u64)1 << n; s++) {
-        int cut = table[s];
-        int best = BIG;
-        u64 rest = s;
-        /* every candidate is at least cut(S) */
-        while (rest && best > cut) {
-            u64 low = rest & -rest;
-            rest ^= low;
-            int prev = table[s ^ low];
-            if (prev >= best)
-                continue;
-            int at_v = cut + bit_count(adj[bit_index(low)] & s);
-            int cand = prev > at_v ? prev : at_v;
-            if (cand < best)
-                best = cand;
+    for (int h = 0; h < n; h++) {
+        u64 top = (u64)1 << h;
+        for (u64 below = 0; below < top; below++) {
+            u64 s = top | below;
+            int cut = table[s];
+            /* v = top first: max(t[S - top], cut(S) + |N(top) & S|) */
+            int best = table[below];
+            int at_v = cut + bit_count(adj[h] & below);
+            if (at_v > best)
+                best = at_v;
+            u64 rest = below;
+            /* every candidate is at least cut(S) */
+            while (rest && best > cut) {
+                u64 low = rest & -rest;
+                rest ^= low;
+                int prev = table[s ^ low];
+                if (prev >= best)
+                    continue;
+                at_v = cut + bit_count(adj[bit_index(low)] & s);
+                int cand = prev > at_v ? prev : at_v;
+                if (cand < best)
+                    best = cand;
+            }
+            table[s] = (cell)best;
         }
-        table[s] = (cell)best;
     }
     return 0;
 }

@@ -12,21 +12,33 @@ best candidate so far meets it, as no other v gives less.  Where the cost
 is the bound, t[S] = max(bound(S), min over v of t[S-v]): those kernels
 fill their bound table and ``_settle`` runs the one min loop over it.
 
+The ordering tables and the N(T) and cut(S) tables are filled in blocks,
+one per vertex h from the lowest up: with top = 2^h, the block holds the
+subsets S = top + below, below in range(top).  S still runs in ascending
+order, so every S - v is filled before S.  Each min loop tries v = top
+first, whose candidate reads t[S - top] = t[below], then walks the bits
+of below, lowest first; the order changes no entry, only how soon the
+early exit is met; ``_settle`` visits only the S where that first
+candidate exceeds bound(S).  N(T) and cut(S) on a block read only the
+entry of below: N(top + below) = N(below) | N(h), and cut by the
+recurrence at the end, so ``_neighbourhoods`` doubles the N array with
+one extend per vertex.
+
 * ``vertex_separation_table``: bound(S) is the border of S, the vertices
-  of S with a neighbour outside.  With T = full - S it is |N(T) - T|, set
-  by the loop that fills the neighbourhoods N(T).  t[full] is the pathwidth.
+  of S with a neighbour outside.  With T = full - S it is |N(T) - T|,
+  listed by T from the neighbourhoods and reversed, as S = full - T runs
+  down while T runs up.  t[full] is the pathwidth.
 * ``cutwidth_table``: bound(S) = cut(S), the number of edges leaving S.
 * ``treewidth_table``: c(S, v) is the degree of v when eliminated after
   S-v, |N(C) - S| for the component C of v in G[S].  That cost reads only
   the part of the ordering inside C, so t[S] is the largest t over the
   components of G[S]: where the component C of S's lowest vertex is not S,
-  t[S] = max(t[C], t[S-C]).  Where it is, every v costs |N(S) - S|.  The
-  same ascending pass fills two more tables, with no search.  With h the
-  highest vertex of S, N(S) = N(S-h) | N(h), and comp[S] = C is comp[S-h]
-  if h has no neighbour there; else it is comp[S-h] + h and every
-  component of G[S-h] that N(h) touches, peeled off the rest R in
-  lowest-vertex order as comp[R] until N(h) & R is spent.  t[full] is the
-  treewidth.
+  t[S] = max(t[C], t[S-C]).  Where it is, every v costs |N(S) - S|, read
+  from the neighbourhoods.  The same ascending pass fills comp, with no
+  search.  With h the highest vertex of S, comp[S] = C is comp[S-h] if h
+  has no neighbour there; else it is comp[S-h] + h and every component of
+  G[S-h] that N(h) touches, peeled off the rest R in lowest-vertex order
+  as comp[R] until N(h) & R is spent.  t[full] is the treewidth.
 * ``path_congestion_table``: c(S, v) = cut(S) + |N(v) & S|, the edges
   covering position |S| with v there, never below cut(S).  t[full] is
   pw(L(G)) + 1 for the graph restricted to the placed vertices.  It is the
@@ -49,8 +61,8 @@ and max, so every entry below the cap is exact.  ``min_tree_congestion``
 passes the path congestion, which bounds it from above since a caterpillar
 is a tree, so the last entry is still the answer.
 
-The last three first fill a table with cut(S) = cut(S-u) + deg u -
-2|N(u) & S|, u the lowest vertex of S; cutwidth and path congestion
+The last three first fill a table with cut(S) = cut(S-h) + deg h -
+2|N(h) & (S-h)|, h the highest vertex of S; cutwidth and path congestion
 overwrite it in place.  ``_core`` mirrors these kernels bit for bit.
 
 ``cutwidth_search`` and ``path_congestion_search`` have no ``_core``
@@ -105,38 +117,64 @@ def cross_size(masks, s: int) -> int:
 
 def _settle(table):
     """Turn table[S] = bound(S) into t[S] = max(bound(S), min over v in S
-    of t[S-v]), in place and in ascending S, and return it."""
-    for s in range(1, len(table)):
-        bound = table[s]
-        best = _BIG
-        rest = s
-        while rest and best > bound:  # once some t[S-v] <= bound(S), t[S] is bound(S)
-            low = rest & -rest
-            rest ^= low
-            prev = table[s ^ low]
-            if prev < best:
-                best = prev
-        if best > bound:
-            table[s] = best
+    of t[S-v]), in place and in ascending S, and return it.  The loop only
+    visits the S with t[S - top] > bound(S), picked out of each block by
+    ``compress``: at any other, t[S] is bound(S) already.  The filter reads
+    bound(S) lazily, before S is settled."""
+    from itertools import compress, islice
+    from operator import gt
+
+    for h in range(len(table).bit_length() - 1):
+        top = 1 << h
+        over = map(gt, islice(table, top), islice(table, top, top << 1))
+        for below in compress(range(top), over):  # S = top + below
+            s = top | below
+            bound = table[s]
+            best = table[below]  # t[S - top] first
+            rest = below
+            while rest and best > bound:  # once some t[S-v] <= bound(S), t[S] is bound(S)
+                low = rest & -rest
+                rest ^= low
+                prev = table[s ^ low]
+                if prev < best:
+                    best = prev
+            if best > bound:
+                table[s] = best
     return table
+
+
+def _neighbourhoods(masks):
+    """nbrs[T] = N(T), the union of T's masks, as an array('I'): each
+    vertex h doubles it, N(top + below) = N(below) | N(h) for top = 2^h.
+    The islice stops at the old end, so the extend reads no entry it adds
+    and needs no second array."""
+    from array import array
+    from itertools import islice, repeat
+    from operator import or_
+
+    nbrs = array("I", [0])
+    for m in masks:
+        nbrs.extend(map(or_, islice(nbrs, len(nbrs)), repeat(m)))
+    return nbrs
 
 
 def treewidth_table(masks):
     from array import array
 
     n = _check(masks)
-    nbrs = array("I", [0]) * (1 << n)  # nbrs[S] = N(S), the union of S's masks
+    nbrs = _neighbourhoods(masks)
     comp = array("I", [0]) * (1 << n)  # comp[S]: the component of S's lowest vertex in G[S]
     table = [0] * (1 << n)
     for h in range(n):  # S = top + below runs through [top, 2 top) in ascending order
         top = 1 << h
         nb = masks[h]
-        for below in range(top):
+        comp[top] = top  # S = {top} is connected and costs |N(top)| = deg h
+        table[top] = nb.bit_count()
+        for below in range(1, top):
             s = top | below
-            nbrs[s] = nbrs[below] | nb
             c = comp[below]
             touch = nb & below
-            if not below or touch & c:  # S is {top}, or top joins the lowest vertex's component
+            if touch & c:  # top joins the lowest vertex's component
                 rest = below ^ c
                 touch &= rest
                 c |= top
@@ -146,49 +184,44 @@ def treewidth_table(masks):
                     if d & touch:
                         c |= d
                         touch &= rest
-            comp[s] = c
-            if c != s:  # t[S] is the larger of t over the lowest component and the rest
-                a = table[c]
-                b = table[s ^ c]
-                table[s] = a if a > b else b
-                continue
-            reach = (nbrs[s] & ~s).bit_count()
-            best = _BIG
-            rest = s
-            while rest and best > reach:  # every vertex of a connected S costs reach
-                low = rest & -rest
-                rest ^= low
-                prev = table[s ^ low]
-                if prev < best:
-                    best = prev
-            table[s] = best if best > reach else reach
+                if c == s:  # every vertex of a connected S costs reach
+                    comp[s] = s
+                    reach = (nbrs[s] & ~s).bit_count()
+                    best = table[below]  # t[S - top] first
+                    rest = below
+                    while rest and best > reach:
+                        low = rest & -rest
+                        rest ^= low
+                        prev = table[s ^ low]
+                        if prev < best:
+                            best = prev
+                    table[s] = best if best > reach else reach
+                    continue
+            comp[s] = c  # t[S] is the larger of t over the lowest component and the rest
+            a = table[c]
+            b = table[s ^ c]
+            table[s] = a if a > b else b
     return table
 
 
 def vertex_separation_table(masks):
-    from array import array
-
-    n = _check(masks)
-    full = (1 << n) - 1
-    nbrs = array("I", [0]) * (1 << n)  # nbrs[T] = N(T), the union of T's masks
-    table = [0] * (1 << n)
-    for t in range(1, 1 << n):
-        low = t & -t
-        nb = nbrs[t ^ low] | masks[low.bit_length() - 1]
-        nbrs[t] = nb
-        table[full ^ t] = (nb & ~t).bit_count()  # border(S) = |N(T) - T| for S = full - T
+    _check(masks)
+    # border(S) = |N(T) - T| for T = full - S: listed by T, read backwards by S
+    table = [(nb & ~t).bit_count() for t, nb in enumerate(_neighbourhoods(masks))]
+    table.reverse()
     return _settle(table)
 
 
 def _cut_size_table(masks):
-    """table[S] = cut(S) for every subset S, from cut(S - lowest vertex)."""
+    """table[S] = cut(S) for every subset S, a block per highest vertex h:
+    cut(top + below) = cut(below) + deg h - 2|N(h) & below| for top = 2^h."""
     n = _check(masks)
-    degree = [m.bit_count() for m in masks]
     table = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        u = low.bit_length() - 1
-        table[s] = table[s ^ low] + degree[u] - 2 * (masks[u] & s).bit_count()
+    for h, m in enumerate(masks):
+        top = 1 << h
+        d = m.bit_count()
+        for below in range(top):
+            table[top | below] = table[below] + d - 2 * (m & below).bit_count()
     return table
 
 
@@ -198,21 +231,27 @@ def cutwidth_table(masks):
 
 def path_congestion_table(masks):
     table = _cut_size_table(masks)
-    for s in range(1, len(table)):
-        cut = table[s]
-        best = _BIG
-        rest = s
-        while rest and best > cut:  # every candidate is at least cut(S)
-            low = rest & -rest
-            rest ^= low
-            prev = table[s ^ low]
-            if prev >= best:
-                continue
-            at_v = cut + (masks[low.bit_length() - 1] & s).bit_count()
-            cand = prev if prev > at_v else at_v
-            if cand < best:
-                best = cand
-        table[s] = best
+    for h, m in enumerate(masks):
+        top = 1 << h
+        for below in range(top):  # S = top + below
+            s = top | below
+            cut = table[s]
+            best = table[below]  # v = top first: max(t[S - top], cut(S) + |N(top) & S|)
+            at_v = cut + (m & below).bit_count()
+            if at_v > best:
+                best = at_v
+            rest = below
+            while rest and best > cut:  # every candidate is at least cut(S)
+                low = rest & -rest
+                rest ^= low
+                prev = table[s ^ low]
+                if prev >= best:
+                    continue
+                at_v = cut + (masks[low.bit_length() - 1] & s).bit_count()
+                cand = prev if prev > at_v else at_v
+                if cand < best:
+                    best = cand
+            table[s] = best
     return table
 
 

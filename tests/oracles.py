@@ -559,6 +559,16 @@ def path_congestion_table(masks):
     return table
 
 
+def settle(bound):
+    """t[S] = max(bound(S), min over v in S of t[S-v]) in ascending S, every
+    pair (S, v) tried; t[0] = bound(0)."""
+    table = list(bound)
+    for s in range(1, len(table)):
+        best = min(table[s ^ (1 << v)] for v in range(s.bit_length()) if s >> v & 1)
+        table[s] = best if best > bound[s] else bound[s]
+    return table
+
+
 # The split recurrence of tree congestion, every cut recounted with cross_size.
 def tree_congestion_table(masks):
     n = _check(masks)

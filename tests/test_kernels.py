@@ -1,11 +1,13 @@
 import random
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs
@@ -337,6 +339,38 @@ def test_a_repeat_solve_runs_no_search(monkeypatch, name):
         monkeypatch.setattr(kernels, search, None)  # a second search would fail
     again = solver(g)
     assert (again.value, again.ordering) == (first.value, first.ordering)
+
+
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(st.integers(0, 12), min_size=1 << n, max_size=1 << n)
+    )
+)
+@example([3])
+@example([2, 0])
+@example([0, 5])
+@example([1, 4, 2, 0])
+def test_settle_equals_the_per_pair_oracle(bound):
+    """On any bound table, graph-derived or not, the block-wise min loop
+    with t[S - top] first gives the table of every pair (S, v)."""
+    assert _pure._settle(list(bound)) == oracles.settle(bound)
+
+
+@given(graphs(min_vertices=0, max_vertices=9))
+@example(Graph(0))
+@example(Graph(1))
+def test_neighbourhoods_are_the_union_of_the_masks(g):
+    masks = _adjacency_masks(g, g.vertices)
+    nbrs = _pure._neighbourhoods(masks)
+    assert isinstance(nbrs, array) and nbrs.typecode == "I"
+    expected = []
+    for t in range(1 << g.n):
+        union = 0
+        for v in range(g.n):
+            if t >> v & 1:
+                union |= masks[v]
+        expected.append(union)
+    assert list(nbrs) == expected
 
 
 def test_elimination_reach_across_eliminated_set():
